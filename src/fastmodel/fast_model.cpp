@@ -32,17 +32,6 @@
 namespace hybridnoc {
 namespace {
 
-/// XY route unrolled once and cached: per-router input/output ports (the
-/// exact arguments the cycle core's setup walk passes to SlotTable::reserve)
-/// plus directed-link ids for the congestion servers.
-struct Route {
-  int hops = -1;  ///< -1 = not built yet
-  std::vector<NodeId> routers;  ///< hops+1 routers, src..dst
-  std::vector<Port> in;         ///< input port at each router (Local at src)
-  std::vector<Port> out;        ///< output port at each router (Local at dst)
-  std::vector<int> links;       ///< hops directed links, links[i] leaves routers[i]
-};
-
 /// One reservation window of a source-destination pair, mirroring
 /// HybridNi::Connection::slots plus the fast model's usage clock.
 struct Window {
@@ -71,9 +60,9 @@ struct NiState {
   double ewma = 0.0;        ///< ewma_inject_delay of the base NI
 };
 
-/// Hot per-pair route metadata: everything ps_launch needs per packet in one
-/// 8-byte load (the full Route record stays cold, used only by the TDM setup
-/// walk). hops < 0 marks a pair whose route has not been built yet.
+/// A pair's XY route, the only per-pair route state: its directed-link ids
+/// are links_flat_[off, off + hops), so ps_launch reads one 8-byte record
+/// per packet. hops < 0 marks a pair whose route has not been built yet.
 struct RouteRef {
   std::uint32_t off = 0;  ///< first link, index into links_flat_
   std::int32_t hops = -1;
@@ -83,8 +72,7 @@ struct RouteRef {
 /// happens at this event's time, so every link serves heads in true arrival
 /// order (a single-pass whole-route walk would claim capacity in injection
 /// order and systematically overstate queueing on long routes). The route's
-/// remaining links are addressed through the flat link-id array (one load
-/// per hop) rather than the full Route record.
+/// remaining links are addressed through links_flat_, one load per hop.
 struct HopEvent {
   std::uint32_t link_idx = 0;  ///< current link, index into links_flat_
   std::uint16_t remaining = 0; ///< links left to cross, including this one
@@ -230,7 +218,6 @@ class FastModel {
                  "per node per cycle at most)");
     HN_CHECK_MSG(params.max_cycles <= 0xffffffffULL,
                  "fast model packs creation cycles into 32 bits");
-    routes_.resize(static_cast<size_t>(n_) * static_cast<size_t>(n_));
     route_ref_.assign(static_cast<size_t>(n_) * static_cast<size_t>(n_),
                       RouteRef{0, -1});
     links_flat_.reserve(1024);
@@ -301,24 +288,55 @@ class FastModel {
     }
   }
 
-  /// Trace-driven run: replay `trace` (looped) instead of drawing a
-  /// synthetic injection process. The synthetic ctor still runs so the
-  /// policy shadow and rng streams are set up identically; the injection
-  /// calendar is simply never armed.
-  FastModel(const NocConfig& cfg, const RunParams& params,
-            const std::vector<TraceEntry>& trace)
-      : FastModel(cfg, params) {
-    HN_CHECK_MSG(!trace.empty(), "fast model: empty trace");
-    trace_ = &trace;
-  }
-
+  /// Synthetic run: every node injects by its own geometric process.
   RunResult run() {
-    if (trace_) return run_trace_mode();
     if (p_ > 0.0) {
       for (NodeId v = 0; v < n_; ++v) inj_.push(inject_gap(v), v);
     }
-    while (!done_ && !inj_.empty()) {
-      const Cycle t_inj = inj_.next_any();
+    return run_events([this] { return inj_.next_any(); },
+                      [this](Cycle t) {
+                        inj_.consume(t, [this, t](NodeId v) {
+                          if (admit(v, t, fps_))
+                            inject(v, draw_destination(v), fps_,
+                                   /*cs_eligible=*/true, t);
+                          inj_.push(t + 1 + inject_gap(v), v);
+                        });
+                      });
+  }
+
+  /// Trace-driven run: replay `trace` (looped) instead of drawing
+  /// injections. Entry cycles strictly increase across loop passes (the
+  /// offset advances by the span), which is what the calendars'
+  /// forward-only cursors require. Messages shorter than the fixed CS
+  /// transfer size are circuit-ineligible (they would be padded out by it),
+  /// mirroring run_trace's rule and HybridNi's cs_eligible gate.
+  RunResult run(const std::vector<TraceEntry>& trace) {
+    const Cycle span = trace.back().cycle + 1;  // TraceTraffic's loop period
+    size_t pos = 0;
+    Cycle offset = 0;
+    return run_events(
+        [&] { return trace[pos].cycle + offset; },
+        [&](Cycle t) {
+          while (pos < trace.size() && trace[pos].cycle + offset == t) {
+            const TraceEntry& e = trace[pos];
+            if (admit(e.src, t, e.flits))
+              inject(e.src, e.dst, e.flits, e.flits >= fcs_, t);
+            if (++pos == trace.size()) {
+              pos = 0;
+              offset += span;
+            }
+          }
+        });
+  }
+
+ private:
+  /// The event loop of both run modes: next_injection() is the next
+  /// injection time (kCycleNever when there is none) and inject_at(t)
+  /// performs every injection due at t.
+  template <typename NextInjection, typename InjectAt>
+  RunResult run_events(NextInjection next_injection, InjectAt inject_at) {
+    while (!done_) {
+      const Cycle t_inj = next_injection();
       // Move every in-flight head that precedes (or ties with) the next
       // injection, mirroring the cycle core's router-before-NI update order
       // within a tick. Heads only touch link/ejection clocks and push
@@ -340,49 +358,7 @@ class FastModel {
       drain_deliveries(t_inj);
       if (done_) break;
       if (armed_ && !measuring_ && t_inj >= measure_start_) begin_window();
-      inj_.consume(t_inj, [this, t_inj](NodeId v) {
-        process_injection(v, t_inj);
-        inj_.push(t_inj + 1 + inject_gap(v), v);
-      });
-    }
-    return finalize();
-  }
-
- private:
-  /// The trace twin of run(): the next event time is the next trace entry
-  /// (shifted by the loop offset) instead of the injection calendar. Entry
-  /// cycles strictly increase across loop passes (offset advances by the
-  /// span), which is what the calendars' forward-only cursors require.
-  RunResult run_trace_mode() {
-    const std::vector<TraceEntry>& tr = *trace_;
-    const Cycle span = tr.back().cycle + 1;  // TraceTraffic's loop period
-    size_t pos = 0;
-    Cycle offset = 0;
-    while (!done_) {
-      const Cycle t_inj = tr[pos].cycle + offset;
-      const Cycle hop_bound = std::min(t_inj, params_.max_cycles - 1);
-      Cycle t_hop;
-      while ((t_hop = hops_.next_at(hop_bound)) != kCycleNever) {
-        hops_.consume(t_hop, [this, t_hop](const HopEvent& h) {
-          process_hop(t_hop, h);
-        });
-      }
-      if (t_inj >= params_.max_cycles) {
-        drain_deliveries(params_.max_cycles);
-        if (!done_) end_cycle_ = params_.max_cycles;
-        break;
-      }
-      drain_deliveries(t_inj);
-      if (done_) break;
-      if (armed_ && !measuring_ && t_inj >= measure_start_) begin_window();
-      while (pos < tr.size() && tr[pos].cycle + offset == t_inj) {
-        const TraceEntry& e = tr[pos];
-        process_trace_injection(e.src, e.dst, e.flits, t_inj);
-        if (++pos == tr.size()) {
-          pos = 0;
-          offset += span;
-        }
-      }
+      inject_at(t_inj);
     }
     return finalize();
   }
@@ -393,36 +369,48 @@ class FastModel {
     return static_cast<int>(node) * 4 + (static_cast<int>(out) - 1);
   }
 
-  const Route& route(NodeId src, NodeId dst) {
-    Route& r = routes_[static_cast<size_t>(src) * static_cast<size_t>(n_) +
-                       static_cast<size_t>(dst)];
-    if (r.hops >= 0) return r;
-    r.hops = mesh_.hop_distance(src, dst);
-    r.routers.reserve(static_cast<size_t>(r.hops) + 1);
-    r.in.reserve(static_cast<size_t>(r.hops) + 1);
-    r.out.reserve(static_cast<size_t>(r.hops) + 1);
-    r.links.reserve(static_cast<size_t>(r.hops));
-    NodeId here = src;
-    Port in = Port::Local;
-    while (true) {
+  /// Inverse of link_id: the router a link leaves and the port it leaves by.
+  static NodeId link_router(int link) { return link / 4; }
+  static Port link_port(int link) { return static_cast<Port>(link % 4 + 1); }
+
+  RouteRef route(NodeId src, NodeId dst) {
+    RouteRef& rr = route_ref_[static_cast<size_t>(src) *
+                                  static_cast<size_t>(n_) +
+                              static_cast<size_t>(dst)];
+    if (rr.hops < 0) build_route(rr, src, dst);
+    return rr;
+  }
+
+  /// Unroll route_xy from src to dst onto the end of links_flat_.
+  void build_route(RouteRef& rr, NodeId src, NodeId dst) {
+    rr = {static_cast<std::uint32_t>(links_flat_.size()), 0};
+    for (NodeId here = src;;) {
       const Port out = route_xy(mesh_, here, dst);
-      r.routers.push_back(here);
-      r.in.push_back(in);
-      r.out.push_back(out);
-      if (out == Port::Local) break;
-      r.links.push_back(link_id(here, out));
-      in = opposite(out);
+      if (out == Port::Local) return;
+      links_flat_.push_back(link_id(here, out));
+      ++rr.hops;
       here = mesh_.neighbor(here, out);
     }
-    // Flat copy of the link ids plus an 8-byte {offset, hops} record for the
-    // hot path: ps_launch then reads one small array entry per packet instead
-    // of dereferencing the full Route (a ~100-byte struct of vectors whose
-    // random access was a guaranteed cache miss per injection).
-    route_ref_[static_cast<size_t>(src) * static_cast<size_t>(n_) +
-               static_cast<size_t>(dst)] = {
-        static_cast<std::uint32_t>(links_flat_.size()), r.hops};
-    links_flat_.insert(links_flat_.end(), r.links.begin(), r.links.end());
-    return r;
+  }
+
+  int link(RouteRef rr, int i) const {
+    return links_flat_[rr.off + static_cast<std::uint32_t>(i)];
+  }
+
+  /// Router i of a route (0 = source, hops = destination) with the input
+  /// and output ports the cycle core's setup walk passes to
+  /// SlotTable::reserve, decoded from the link ids: link i leaves router i,
+  /// and router i is entered opposite to where link i-1 left.
+  struct RouteHop {
+    NodeId router;
+    Port in, out;
+  };
+  RouteHop route_hop(RouteRef rr, NodeId dst, int i) const {
+    const Port in =
+        i == 0 ? Port::Local : opposite(link_port(link(rr, i - 1)));
+    if (i == rr.hops) return {dst, in, Port::Local};
+    const int l = link(rr, i);
+    return {link_router(l), in, link_port(l)};
   }
 
   /// Rng::geometric with the 1/log1p(-p) factor hoisted out of the loop —
@@ -548,18 +536,19 @@ class FastModel {
     }
   }
 
-  /// Synchronous whole-route walk for config messages (setups, acks,
-  /// teardowns): returns the delivery cycle. Config traffic is a fraction
-  /// of a percent of flits, so the injection-order capacity claims are a
-  /// harmless simplification here; data packets go hop by hop instead.
-  Cycle ps_transfer(const Route& rt, Cycle t, int flits, bool is_data) {
-    const NodeId src = rt.routers.front();
-    const NodeId dst = rt.routers.back();
+  /// Synchronous whole-route walk for one config message (setup, ack,
+  /// teardown) from src to dst: returns the delivery cycle. Config traffic
+  /// is a fraction of a percent of flits, so the injection-order capacity
+  /// claims are a harmless simplification here; data packets go hop by hop
+  /// instead.
+  Cycle send_config(NodeId src, NodeId dst, Cycle t) {
+    const RouteRef rr = route(src, dst);
+    const int flits = cfg_.config_flits;
     const Cycle head = std::max(t, ni_free_[static_cast<size_t>(src)]);
     ni_free_[static_cast<size_t>(src)] = head + static_cast<Cycle>(flits);
     Cycle arr = head + 2;  // injection channel
-    for (int i = 0; i < rt.hops; ++i) {
-      const int l = rt.links[static_cast<size_t>(i)];
+    for (int i = 0; i < rr.hops; ++i) {
+      const int l = link(rr, i);
       const Cycle depart =
           std::max(arr + 3, link_free_[static_cast<size_t>(l)]);
       link_free_[static_cast<size_t>(l)] = depart + link_service(l, flits);
@@ -567,21 +556,14 @@ class FastModel {
     }
     const Cycle ej = std::max(arr + 3, eject_free_[static_cast<size_t>(dst)]);
     eject_free_[static_cast<size_t>(dst)] = ej + static_cast<Cycle>(flits);
-    ps_energy(rt.hops, flits, is_data);
+    ps_energy(rr.hops, flits, /*is_data=*/false);
     return ej + 2 + static_cast<Cycle>(flits - 1);
   }
 
   /// Launch one data packet: serialize at the source NI, then walk the route
   /// hop by hop via HopEvents so links serve heads in arrival order.
   void ps_launch(NodeId src, NodeId dst, Cycle t, int flits) {
-    const size_t key =
-        static_cast<size_t>(src) * static_cast<size_t>(n_) +
-        static_cast<size_t>(dst);
-    RouteRef rr = route_ref_[key];
-    if (rr.hops < 0) {
-      route(src, dst);
-      rr = route_ref_[key];
-    }
+    const RouteRef rr = route(src, dst);
     const Cycle head = std::max(t, ni_free_[static_cast<size_t>(src)]);
     ni_free_[static_cast<size_t>(src)] = head + static_cast<Cycle>(flits);
     if (tdm_) {
@@ -652,19 +634,24 @@ class FastModel {
     for (const NodeId dst : idle) teardown_connection(v, dst, t);
   }
 
+  /// Without time-slot stealing a circuit's reserved slots are lost to
+  /// packet-switched traffic on every link it crosses (see link_service).
+  void reserve_links(RouteRef rr, int slots) {
+    if (cfg_.time_slot_stealing) return;
+    for (int i = 0; i < rr.hops; ++i)
+      reserved_on_link_[static_cast<size_t>(link(rr, i))] += slots;
+  }
+
   void release_window(NodeId src, NodeId dst, const Window& w) {
-    const Route& rt = route(src, dst);
+    const RouteRef rr = route(src, dst);
     const int mask = slots_ - 1;
-    for (int i = 0; i <= rt.hops; ++i) {
-      tables_[static_cast<size_t>(rt.routers[static_cast<size_t>(i)])].release(
-          (w.slot + 2 * i) & mask, dur_, rt.in[static_cast<size_t>(i)],
-          w.owner);
+    for (int i = 0; i <= rr.hops; ++i) {
+      const RouteHop hop = route_hop(rr, dst, i);
+      tables_[static_cast<size_t>(hop.router)].release(
+          (w.slot + 2 * i) & mask, dur_, hop.in, w.owner);
       dyn_.slot_table_writes += static_cast<std::uint64_t>(dur_);
     }
-    if (!cfg_.time_slot_stealing) {
-      for (const int l : rt.links)
-        reserved_on_link_[static_cast<size_t>(l)] -= dur_;
-    }
+    reserve_links(rr, -dur_);
   }
 
   void teardown_connection(NodeId src, NodeId dst, Cycle t) {
@@ -673,7 +660,7 @@ class FastModel {
     if (it == st.conns.end()) return;
     for (const Window& w : it->second.windows) {
       release_window(src, dst, w);
-      ps_transfer(route(src, dst), t, cfg_.config_flits, /*is_data=*/false);
+      send_config(src, dst, t);
     }
     st.conns.erase(it);
   }
@@ -704,36 +691,29 @@ class FastModel {
   /// setup/nack/teardown config messages, and retry with a different slot.
   void do_setup(NodeId src, NodeId dst, Cycle t) {
     NiState& st = ni_[static_cast<size_t>(src)];
-    const Route& rt = route(src, dst);
+    const RouteRef rr = route(src, dst);
     const int mask = slots_ - 1;
     int avoid = -1;
     for (int retry = 0; retry <= cfg_.max_setup_retries; ++retry) {
       const int slot0 = choose_slot(src, avoid);
       const PacketId owner = next_owner_id_++;
       int fail_at = -1;
-      for (int i = 0; i <= rt.hops; ++i) {
-        SlotTable& tab =
-            tables_[static_cast<size_t>(rt.routers[static_cast<size_t>(i)])];
+      for (int i = 0; i <= rr.hops; ++i) {
+        const RouteHop hop = route_hop(rr, dst, i);
+        SlotTable& tab = tables_[static_cast<size_t>(hop.router)];
         const int s = (slot0 + 2 * i) & mask;
         if (tab.occupancy() >= cfg_.reservation_threshold ||
-            !tab.reserve(s, dur_, rt.in[static_cast<size_t>(i)],
-                         rt.out[static_cast<size_t>(i)], owner, t)) {
+            !tab.reserve(s, dur_, hop.in, hop.out, owner, t)) {
           fail_at = i;
           break;
         }
         dyn_.slot_table_writes += static_cast<std::uint64_t>(dur_);
       }
       if (fail_at < 0) {
-        if (!cfg_.time_slot_stealing) {
-          for (const int l : rt.links)
-            reserved_on_link_[static_cast<size_t>(l)] += dur_;
-        }
+        reserve_links(rr, dur_);
         // Setup rides to the destination, the ack rides back; the window
         // exists once the ack arrives.
-        const Cycle d1 =
-            ps_transfer(rt, t, cfg_.config_flits, /*is_data=*/false);
-        const Cycle d2 = ps_transfer(route(dst, src), d1, cfg_.config_flits,
-                                     /*is_data=*/false);
+        const Cycle d2 = send_config(dst, src, send_config(src, dst, t));
         Conn& conn = st.conns[dst];
         conn.windows.push_back(Window{slot0, d2, 0, owner});
         if (conn.last_used < d2) conn.last_used = d2;
@@ -741,19 +721,19 @@ class FastModel {
         return;
       }
       // Release the reserved prefix and account the partial setup, the
-      // failure ack, and the prefix teardown (three config messages).
+      // failure ack, and the prefix teardown (three config messages; none
+      // when the source's own table refused).
       for (int i = 0; i < fail_at; ++i) {
-        tables_[static_cast<size_t>(rt.routers[static_cast<size_t>(i)])]
-            .release((slot0 + 2 * i) & mask, dur_,
-                     rt.in[static_cast<size_t>(i)], owner);
+        const RouteHop hop = route_hop(rr, dst, i);
+        tables_[static_cast<size_t>(hop.router)].release(
+            (slot0 + 2 * i) & mask, dur_, hop.in, owner);
         dyn_.slot_table_writes += static_cast<std::uint64_t>(dur_);
       }
-      const NodeId fail_node = rt.routers[static_cast<size_t>(fail_at)];
-      if (fail_node != src) {
-        ps_transfer(route(src, fail_node), t, cfg_.config_flits, false);
-        ps_transfer(route(fail_node, src), t, cfg_.config_flits, false);
-        if (fail_at > 0)
-          ps_transfer(route(src, fail_node), t, cfg_.config_flits, false);
+      if (fail_at > 0) {
+        const NodeId fail_node = route_hop(rr, dst, fail_at).router;
+        send_config(src, fail_node, t);
+        send_config(fail_node, src, t);
+        send_config(src, fail_node, t);
       }
       avoid = slot0;
     }
@@ -802,8 +782,8 @@ class FastModel {
   CsAttempt try_circuit(NodeId src, NodeId dst, Cycle t, int payload_flits) {
     NiState& st = ni_[static_cast<size_t>(src)];
     Conn& conn = st.conns[dst];
-    const Route& rt = route(src, dst);
-    const int h = rt.hops;
+    const RouteRef rr = route(src, dst);
+    const int h = rr.hops;
     const auto S = static_cast<Cycle>(slots_);
     Cycle best = kCycleNever;
     size_t best_w = 0;
@@ -843,9 +823,9 @@ class FastModel {
     cs_flits_ += f;
     // Circuit flits occupy their reserved link cycles; packet-switched
     // backlogs behind them slip by the circuit's footprint.
-    for (const int l : rt.links) {
-      if (link_free_[static_cast<size_t>(l)] > t)
-        link_free_[static_cast<size_t>(l)] += static_cast<Cycle>(fcs_);
+    for (int i = 0; i < h; ++i) {
+      const auto l = static_cast<size_t>(link(rr, i));
+      if (link_free_[l] > t) link_free_[l] += static_cast<Cycle>(fcs_);
     }
     push_delivery(best + 2 * static_cast<Cycle>(h) + 2 +
                       static_cast<Cycle>(fcs_ - 1),
@@ -855,52 +835,30 @@ class FastModel {
 
   // --- injection ----------------------------------------------------------
 
-  void process_injection(NodeId v, Cycle t) {
-    // Source queues diverging: the cycle core drops the packet and flags
-    // deep saturation. The serializer backlog is our queue depth.
-    if (ni_free_[static_cast<size_t>(v)] > t &&
-        (ni_free_[static_cast<size_t>(v)] - t) / static_cast<Cycle>(fps_) >
-            2000) {
+  /// Source queues diverging: the cycle core drops the packet and flags
+  /// deep saturation. The serializer backlog, counted in packets of this
+  /// size, is our queue depth. False when the injection is dropped.
+  bool admit(NodeId v, Cycle t, int flits) {
+    const Cycle free = ni_free_[static_cast<size_t>(v)];
+    if (free > t &&
+        (free - t) / static_cast<Cycle>(std::max(flits, 1)) > 2000) {
       saturated_ = true;
-      return;
+      return false;
     }
-    if (tdm_) epoch_tick(v, t);
-    const NodeId dst = draw_destination(v);
-    if (dst < 0) return;
-    if (measuring_) window_generated_flits_ += static_cast<std::uint64_t>(fps_);
-
-    if (tdm_) {
-      NiState& st = ni_[static_cast<size_t>(v)];
-      ++st.freq[static_cast<size_t>(dst)];
-      if (!st.conns.empty() && st.conns.find(dst) != st.conns.end()) {
-        const CsAttempt r = try_circuit(v, dst, t, fps_);
-        if (r == CsAttempt::Scheduled) return;
-        if (r == CsAttempt::NoWindow)
-          maybe_setup(v, dst, t, /*force=*/true, /*supplement=*/true);
-      }
-      maybe_setup(v, dst, t, /*force=*/false, /*supplement=*/false);
-    }
-    ps_launch(v, dst, t, fps_);
+    return true;
   }
 
-  /// Trace-entry twin of process_injection: source/destination/length come
-  /// from the trace. Messages shorter than the fixed CS transfer size are
-  /// circuit-ineligible (they would be padded out by it), mirroring
-  /// run_trace's rule and HybridNi's cs_eligible gate — they skip the whole
-  /// policy block, including the pair-frequency count.
-  void process_trace_injection(NodeId v, NodeId dst, int flits, Cycle t) {
-    const int unit = flits > 0 ? flits : 1;
-    if (ni_free_[static_cast<size_t>(v)] > t &&
-        (ni_free_[static_cast<size_t>(v)] - t) / static_cast<Cycle>(unit) >
-            2000) {
-      saturated_ = true;
-      return;
-    }
+  /// One admitted injection at NI v; dst < 0 is a synthetic draw that
+  /// produced no packet (the NI's epoch still advances). Circuit-ineligible
+  /// messages skip the whole policy block, including the pair-frequency
+  /// count.
+  void inject(NodeId v, NodeId dst, int flits, bool cs_eligible, Cycle t) {
     if (tdm_) epoch_tick(v, t);
+    if (dst < 0) return;
     if (measuring_)
       window_generated_flits_ += static_cast<std::uint64_t>(flits);
 
-    if (tdm_ && flits >= fcs_) {
+    if (tdm_ && cs_eligible) {
       NiState& st = ni_[static_cast<size_t>(v)];
       ++st.freq[static_cast<size_t>(dst)];
       if (!st.conns.empty() && st.conns.find(dst) != st.conns.end()) {
@@ -922,19 +880,12 @@ class FastModel {
   /// coordinate math, and cross-library call. Returns -1 for "no packet"
   /// (the self-destination case pattern_destination reports as nullopt).
   NodeId draw_destination(NodeId src) {
+    if (dst_mode_ == DstMode::Table)
+      return dst_table_[static_cast<size_t>(src)];
     Rng& rng = dst_rng_[static_cast<size_t>(src)];
-    NodeId dst;
-    switch (dst_mode_) {
-      case DstMode::Table:
-        return dst_table_[static_cast<size_t>(src)];
-      case DstMode::Uniform:
-        dst = draw_uniform_node(rng);
-        break;
-      case DstMode::Hotspot:
-        dst = rng.bernoulli(0.25) ? hotspots_[rng.uniform_int(4)]
-                                  : draw_uniform_node(rng);
-        break;
-    }
+    const NodeId dst = dst_mode_ == DstMode::Hotspot && rng.bernoulli(0.25)
+                           ? hotspots_[rng.uniform_int(4)]
+                           : draw_uniform_node(rng);
     return dst == src ? -1 : dst;
   }
 
@@ -1010,7 +961,6 @@ class FastModel {
   const int fps_, fcs_, dur_, slots_;
   const double p_;  ///< packet probability per node per cycle
 
-  std::vector<Route> routes_;
   std::vector<Cycle> ni_free_, eject_free_, link_free_;
   std::vector<int> reserved_on_link_;
   std::vector<Rng> inj_rng_, dst_rng_, slot_rng_;
@@ -1030,7 +980,6 @@ class FastModel {
   Calendar<NodeId> inj_;           ///< next injection time per node
   Calendar<Delivery> deliveries_;  ///< finished transfers awaiting tallying
   Calendar<HopEvent> hops_;
-  const std::vector<TraceEntry>* trace_ = nullptr;  ///< non-null: trace mode
   std::vector<int> links_flat_;        ///< per-route link ids, concatenated
   std::vector<RouteRef> route_ref_;    ///< route -> {links_flat_ offset, hops}
 
@@ -1086,7 +1035,8 @@ RunResult run_trace_fast(const NocConfig& cfg,
   cfg.validate();
   std::string why;
   HN_CHECK_MSG(fast_model_supports(cfg, &why), why.c_str());
-  return FastModel(cfg, params, entries).run();
+  check_replayable(entries, cfg.k * cfg.k);
+  return FastModel(cfg, params).run(entries);
 }
 
 }  // namespace hybridnoc

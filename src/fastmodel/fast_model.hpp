@@ -62,8 +62,8 @@ RunResult run_synthetic_fast(const NocConfig& cfg, const RunParams& params);
 /// Transfer-level twin of run_trace: replays `entries` (looped) with the
 /// same methodology. Message sizes come from the trace; entries shorter
 /// than cfg.cs_data_flits are circuit-ineligible, mirroring the cycle
-/// driver's rule. Aborts (HN_CHECK) when !fast_model_supports(cfg) or the
-/// trace is empty.
+/// driver's rule. Aborts (HN_CHECK) when !fast_model_supports(cfg) or
+/// check_replayable rejects the trace.
 RunResult run_trace_fast(const NocConfig& cfg,
                          const std::vector<TraceEntry>& entries,
                          const RunParams& params);

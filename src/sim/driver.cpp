@@ -386,16 +386,11 @@ RunResult run_synthetic(const NocConfig& cfg, const RunParams& params) {
 RunResult run_trace(const NocConfig& cfg,
                     const std::vector<TraceEntry>& entries,
                     const RunParams& params) {
-  HN_CHECK_MSG(!entries.empty(), "run_trace: empty trace");
   const int n_nodes = cfg.k * cfg.k;
+  check_replayable(entries, n_nodes);
   std::uint64_t total_flits = 0;
-  for (const TraceEntry& e : entries) {
-    HN_CHECK_MSG(e.src >= 0 && e.src < n_nodes && e.dst >= 0 &&
-                     e.dst < n_nodes,
-                 "run_trace: trace entry outside the mesh");
-    HN_CHECK_MSG(e.src != e.dst, "run_trace: self-directed trace entry");
+  for (const TraceEntry& e : entries)
     total_flits += static_cast<std::uint64_t>(e.flits);
-  }
   const Cycle span = entries.back().cycle + 1;
   const double offered_rate =
       static_cast<double>(total_flits) /

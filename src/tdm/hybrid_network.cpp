@@ -104,6 +104,11 @@ ConfigFaultDecision::Action from_fault_action(FaultAction a) {
     case FaultAction::Drop: return ConfigFaultDecision::Action::Drop;
     case FaultAction::Delay: return ConfigFaultDecision::Action::Delay;
     case FaultAction::Duplicate: return ConfigFaultDecision::Action::Duplicate;
+    // Data-plane actions never target config messages.
+    case FaultAction::Corrupt:
+    case FaultAction::Stuck:
+    case FaultAction::Kill:
+      break;
   }
   return ConfigFaultDecision::Action::None;
 }
@@ -148,7 +153,11 @@ ConfigFaultDecision HybridNetwork::on_config_dispatch(const PacketPtr& pkt,
         case FaultAction::Drop: ++faults_dropped_; break;
         case FaultAction::Delay: ++faults_delayed_; break;
         case FaultAction::Duplicate: ++faults_duplicated_; break;
-        case FaultAction::None: break;
+        case FaultAction::None:
+        case FaultAction::Corrupt:
+        case FaultAction::Stuck:
+        case FaultAction::Kill:
+          break;
       }
     }
     if (replay_audit_each_event_) {

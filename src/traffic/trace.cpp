@@ -36,6 +36,19 @@ void save_trace(std::ostream& out, const std::vector<TraceEntry>& entries) {
   }
 }
 
+void check_replayable(const std::vector<TraceEntry>& entries, int num_nodes) {
+  HN_CHECK_MSG(!entries.empty(), "empty trace");
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const TraceEntry& e = entries[i];
+    HN_CHECK_MSG(e.src >= 0 && e.src < num_nodes && e.dst >= 0 &&
+                     e.dst < num_nodes,
+                 "trace entry outside the mesh");
+    HN_CHECK_MSG(e.src != e.dst, "self-directed trace entry");
+    HN_CHECK_MSG(i == 0 || entries[i - 1].cycle <= e.cycle,
+                 "trace entries must be sorted by cycle");
+  }
+}
+
 TraceTraffic::TraceTraffic(std::vector<TraceEntry> entries, bool loop)
     : entries_(std::move(entries)), loop_(loop) {
   for (size_t i = 1; i < entries_.size(); ++i) {

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 
 #include "sim/driver.hpp"
@@ -110,6 +111,13 @@ struct WorkloadScenario {
   double lat_bound;     // |relative mean-latency error| ceiling
   double energy_bound;  // |relative energy-per-packet error| ceiling
 };
+
+// gtest appends a print of each case's parameter to its test name. Without
+// this overload it prints WorkloadScenario's raw bytes: the address of `spec`,
+// which ASLR moves on every run, and uninitialised padding after `k`.
+void PrintTo(const WorkloadScenario& s, std::ostream* os) {
+  *os << s.spec << ' ' << s.k << 'x' << s.k;
+}
 
 std::string workload_scenario_name(
     const ::testing::TestParamInfo<WorkloadScenario>& info) {

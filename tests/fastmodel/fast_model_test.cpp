@@ -1,13 +1,16 @@
 // Unit tests for the transfer-level fast model: zero-load timing against
 // the analytic pipeline formula, bit-determinism per seed, saturation
 // detection, engine dispatch via RunParams::fidelity, and the supported-
-// configuration gate. Cross-fidelity accuracy against the cycle core lives
-// in accuracy_test.cpp (ctest -L accuracy).
+// configuration gate, exact golden fingerprints of four runs, and the trace
+// input checks. Cross-fidelity accuracy against the cycle core lives in
+// accuracy_test.cpp (ctest -L accuracy).
 #include "fastmodel/fast_model.hpp"
 
 #include <gtest/gtest.h>
 
+#include "common/assert.hpp"
 #include "sim/driver.hpp"
+#include "workloads/workload.hpp"
 
 namespace hybridnoc {
 namespace {
@@ -127,6 +130,227 @@ TEST(FastModel, SupportGateNamesUnsupportedFeatures) {
   EXPECT_DEATH((void)run_synthetic_fast(sharing, base_params(
                    TrafficPattern::UniformRandom, 0.1)),
                "sharing");
+}
+
+// --- golden fingerprints ---------------------------------------------------
+//
+// Four runs pinned field by field, exactly: every RunResult field and all 16
+// energy counters. Self-determinism and the accuracy bands would both miss a
+// change that shifts a single link claim, slot reservation or rng draw;
+// these would not. A deliberate change to the model's behaviour re-records
+// the literals (print each field with %.17g).
+
+#define HN_EXPECT_FIELD(field) EXPECT_EQ(got.field, want.field) << #field
+
+void expect_fingerprint(const RunResult& got, const RunResult& want) {
+  HN_EXPECT_FIELD(offered_rate);
+  HN_EXPECT_FIELD(accepted_rate);
+  HN_EXPECT_FIELD(avg_latency);
+  HN_EXPECT_FIELD(p99_latency);
+  HN_EXPECT_FIELD(saturated);
+  HN_EXPECT_FIELD(measured_packets);
+  HN_EXPECT_FIELD(cycles);
+  HN_EXPECT_FIELD(energy.buffer_writes);
+  HN_EXPECT_FIELD(energy.buffer_reads);
+  HN_EXPECT_FIELD(energy.xbar_flits);
+  HN_EXPECT_FIELD(energy.vc_arbs);
+  HN_EXPECT_FIELD(energy.sw_arbs);
+  HN_EXPECT_FIELD(energy.link_flits);
+  HN_EXPECT_FIELD(energy.slot_table_reads);
+  HN_EXPECT_FIELD(energy.slot_table_writes);
+  HN_EXPECT_FIELD(energy.dlt_accesses);
+  HN_EXPECT_FIELD(energy.cs_latch_flits);
+  HN_EXPECT_FIELD(energy.cycles);
+  HN_EXPECT_FIELD(energy.vc_active_cycles);
+  HN_EXPECT_FIELD(energy.slot_entry_active_cycles);
+  HN_EXPECT_FIELD(energy.dlt_active_cycles);
+  HN_EXPECT_FIELD(energy.cs_misc_active_cycles);
+  HN_EXPECT_FIELD(energy.link_active_cycles);
+  HN_EXPECT_FIELD(cs_flit_fraction);
+  HN_EXPECT_FIELD(config_flit_fraction);
+}
+
+#undef HN_EXPECT_FIELD
+
+RunParams golden_params(TrafficPattern pattern, double rate) {
+  RunParams p = base_params(pattern, rate);
+  p.seed = 7;
+  p.measure_packets = 300000;
+  return p;
+}
+
+TEST(FastModelGolden, HybridTdmUniformWithSetupFailuresAndTeardowns) {
+  // 0.33 on 8x8 is below saturation but hot enough that setups collide
+  // (failed prefixes unwound, retries with a new slot) and idle circuits
+  // are torn down at epoch boundaries inside the window.
+  const RunResult r =
+      run_synthetic_fast(NocConfig::hybrid_tdm_vc4(8),
+                         golden_params(TrafficPattern::UniformRandom, 0.33));
+  EXPECT_GT(r.cs_flit_fraction, 0.0);
+  EXPECT_GT(r.config_flit_fraction, 0.0);
+  const RunResult golden{
+      .offered_rate = 0.33000000000000002,
+      .accepted_rate = 0.32473261500020767,
+      .avg_latency = 63.854758119085474,
+      .p99_latency = 174.84848771266513,
+      .saturated = false,
+      .measured_packets = 300003,
+      .cycles = 72239,
+      .energy = {.buffer_writes = 9505162,
+                 .buffer_reads = 9505162,
+                 .xbar_flits = 9517378,
+                 .vc_arbs = 1904306,
+                 .sw_arbs = 9505162,
+                 .link_flits = 8015816,
+                 .slot_table_reads = 4623296,
+                 .slot_table_writes = 10428,
+                 .dlt_accesses = 0,
+                 .cs_latch_flits = 12216,
+                 .cycles = 4623296,
+                 .vc_active_cycles = 92465920,
+                 .slot_entry_active_cycles = 1183563776,
+                 .dlt_active_cycles = 0,
+                 .cs_misc_active_cycles = 4623296,
+                 .link_active_cycles = 16181536},
+      .cs_flit_fraction = 0.0010340586401862372,
+      .config_flit_fraction = 0.00045286175329423627};
+  expect_fingerprint(r, golden);
+}
+
+TEST(FastModelGolden, HybridTdmUniformWithoutTimeSlotStealing) {
+  // The only run that reserves and releases link capacity for
+  // packet-switched traffic (reserved slots are lost to it when idle).
+  NocConfig cfg = NocConfig::hybrid_tdm_vc4(8);
+  cfg.time_slot_stealing = false;
+  const RunResult r = run_synthetic_fast(
+      cfg, golden_params(TrafficPattern::UniformRandom, 0.33));
+  const RunResult golden{
+      .offered_rate = 0.33000000000000002,
+      .accepted_rate = 0.32453070314985683,
+      .avg_latency = 124.55691333333333,
+      .p99_latency = 493.375,
+      .saturated = false,
+      .measured_packets = 300000,
+      .cycles = 72289,
+      .energy = {.buffer_writes = 9511670,
+                 .buffer_reads = 9511670,
+                 .xbar_flits = 9524122,
+                 .vc_arbs = 1905602,
+                 .sw_arbs = 9511670,
+                 .link_flits = 8021508,
+                 .slot_table_reads = 4626496,
+                 .slot_table_writes = 10400,
+                 .dlt_accesses = 0,
+                 .cs_latch_flits = 12452,
+                 .cycles = 4626496,
+                 .vc_active_cycles = 92529920,
+                 .slot_entry_active_cycles = 1184382976,
+                 .dlt_active_cycles = 0,
+                 .cs_misc_active_cycles = 4626496,
+                 .link_active_cycles = 16192736},
+      .cs_flit_fraction = 0.0010519762839270674,
+      .config_flit_fraction = 0.0004518791918616491};
+  expect_fingerprint(r, golden);
+}
+
+TEST(FastModelGolden, HybridTdmTornado) {
+  const RunResult r =
+      run_synthetic_fast(NocConfig::hybrid_tdm_vc4(8),
+                         golden_params(TrafficPattern::Tornado, 0.2));
+  const RunResult golden{
+      .offered_rate = 0.20000000000000001,
+      .accepted_rate = 0.19994216664534561,
+      .avg_latency = 38.073255689924132,
+      .p99_latency = 77.74877344877352,
+      .saturated = false,
+      .measured_packets = 300004,
+      .cycles = 117255,
+      .energy = {.buffer_writes = 6703220,
+                 .buffer_reads = 6703220,
+                 .xbar_flits = 7041516,
+                 .vc_arbs = 1340644,
+                 .sw_arbs = 6703220,
+                 .link_flits = 5558491,
+                 .slot_table_reads = 7504320,
+                 .slot_table_writes = 0,
+                 .dlt_accesses = 0,
+                 .cs_latch_flits = 338296,
+                 .cycles = 7504320,
+                 .vc_active_cycles = 150086400,
+                 .slot_entry_active_cycles = 1921105920,
+                 .dlt_active_cycles = 0,
+                 .cs_misc_active_cycles = 7504320,
+                 .link_active_cycles = 26265120},
+      .cs_flit_fraction = 0.047052477200316918,
+      .config_flit_fraction = 0};
+  expect_fingerprint(r, golden);
+}
+
+TEST(FastModelGolden, HybridTdmCoherenceTrace) {
+  WorkloadOptions wo;
+  wo.k = 8;
+  wo.seed = 1;
+  const WorkloadTrace wt = build_workload("coherence", wo);
+  RunParams p;
+  p.seed = 7;
+  p.measure_packets = 6000;
+  const RunResult r =
+      run_trace_fast(NocConfig::hybrid_tdm_vc4(8), wt.entries, p);
+  const RunResult golden{
+      .offered_rate = 0.10000000000000001,
+      .accepted_rate = 0.092232818411097095,
+      .avg_latency = 37.9465089151808,
+      .p99_latency = 84.345652173912981,
+      .saturated = false,
+      .measured_packets = 6001,
+      .cycles = 2379,
+      .energy = {.buffer_writes = 86973,
+                 .buffer_reads = 86973,
+                 .xbar_flits = 89041,
+                 .vc_arbs = 38337,
+                 .sw_arbs = 86973,
+                 .link_flits = 75056,
+                 .slot_table_reads = 152256,
+                 .slot_table_writes = 236,
+                 .dlt_accesses = 0,
+                 .cs_latch_flits = 2068,
+                 .cycles = 152256,
+                 .vc_active_cycles = 3045120,
+                 .slot_entry_active_cycles = 38977536,
+                 .dlt_active_cycles = 0,
+                 .cs_misc_active_cycles = 152256,
+                 .link_active_cycles = 532896},
+      .cs_flit_fraction = 0.019473081328751432,
+      .config_flit_fraction = 0.0012155881301394351};
+  expect_fingerprint(r, golden);
+}
+
+// --- trace input checks ------------------------------------------------------
+
+TEST(FastModel, MalformedTracesAreRejectedAtBothFidelities) {
+  // Both fidelities, and the fast model's own entry point, refuse the same
+  // traces before simulating anything (a 4x4 mesh has nodes 0..15).
+  const NocConfig cfg = NocConfig::hybrid_tdm_vc4(4);
+  const std::vector<std::vector<TraceEntry>> bad = {
+      {},                                                // empty
+      {TraceEntry{0, 0, 16, 5}},                         // dst == k*k
+      {TraceEntry{0, 0, 99, 5}},                         // dst far outside
+      {TraceEntry{0, -1, 3, 5}},                         // negative src
+      {TraceEntry{0, 16, 3, 5}},                         // src == k*k
+      {TraceEntry{0, 1, 2, 5}, TraceEntry{4, 3, 3, 5}},  // self-directed
+      {TraceEntry{5, 1, 2, 5}, TraceEntry{4, 2, 1, 5}},  // out of order
+  };
+  ScopedCheckThrows guard;
+  for (size_t i = 0; i < bad.size(); ++i) {
+    for (Fidelity f : {Fidelity::Cycle, Fidelity::Fast}) {
+      RunParams p;
+      p.fidelity = f;
+      EXPECT_THROW((void)run_trace(cfg, bad[i], p), CheckFailure)
+          << "entry set " << i << " at " << fidelity_name(f) << " fidelity";
+    }
+    EXPECT_THROW((void)run_trace_fast(cfg, bad[i], RunParams{}), CheckFailure)
+        << "entry set " << i << " via run_trace_fast";
+  }
 }
 
 }  // namespace
