@@ -20,6 +20,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -46,33 +47,52 @@ struct Conn {
   Cycle last_used = 0;
 };
 
-/// Per-node NI policy state (the fast-model shadow of HybridNi). The
-/// per-destination policy fields are dense vectors indexed by destination —
-/// every injection reads several of them, and hash maps were a measurable
-/// fraction of the event loop.
+/// Per-node NI policy state (the fast-model shadow of HybridNi). Its
+/// per-destination fields live in the pair's record (Pair): `epoch` counts
+/// the NI's policy epochs so a pair's freq count from an earlier epoch reads
+/// as zero without clearing anything.
 struct NiState {
   std::map<NodeId, Conn> conns;  ///< ordered: deterministic idle sweeps
-  std::vector<int> freq;
-  std::vector<Cycle> cooldown_until;
-  std::vector<Cycle> pending_until;
+  std::uint32_t epoch = 0;
   Cycle epoch_start = 0;
   Cycle cs_busy_until = 0;  ///< shadow of cs_plan_: next admissible CS start
   double ewma = 0.0;        ///< ewma_inject_delay of the base NI
 };
 
-/// A pair's XY route, the only per-pair route state: its directed-link ids
-/// are links_flat_[off, off + hops), so ps_launch reads one 8-byte record
-/// per packet. hops < 0 marks a pair whose route has not been built yet.
+/// A pair's XY route: its directed-link ids are links_flat_[off, off + hops),
+/// so ps_launch reads one 8-byte record per packet.
 struct RouteRef {
   std::uint32_t off = 0;  ///< first link, index into links_flat_
-  std::int32_t hops = -1;
+  std::int32_t hops = 0;
+};
+
+/// Everything the model keeps per source-destination pair, created the
+/// first time the pair is used: its route and the source NI's policy state
+/// towards the destination. Only the pairs a run's traffic uses get one, so
+/// nothing n²-sized is allocated or cleared up front.
+struct Pair {
+  RouteRef rr;
+  std::uint32_t freq_epoch = 0;  ///< NiState::epoch that `freq` counts in
+  int freq = 0;                  ///< packets this epoch (stale epoch: 0)
+  Cycle cooldown_until = 0;      ///< no setup before this (setup gave up)
+  Cycle pending_until = 0;       ///< setup in flight until its ack arrives
+};
+
+/// One slot of the pair index (FastModel::pair): the pair's key
+/// src * n + dst stored inline, and where its record lives.
+constexpr std::uint32_t kNoPair = 0xffffffffU;
+struct PairSlot {
+  std::uint32_t key = 0;
+  std::uint32_t idx = kNoPair;  ///< into the pair records; kNoPair = empty
 };
 
 /// A data packet's head arriving at a router input — the next link claim
 /// happens at this event's time, so every link serves heads in true arrival
 /// order (a single-pass whole-route walk would claim capacity in injection
 /// order and systematically overstate queueing on long routes). The route's
-/// remaining links are addressed through links_flat_, one load per hop.
+/// remaining links are addressed through links_flat_, one load per hop. The
+/// 16-bit fields bound the mesh to 65536 nodes and a packet to 65535 flits,
+/// both checked before a run starts.
 struct HopEvent {
   std::uint32_t link_idx = 0;  ///< current link, index into links_flat_
   std::uint16_t remaining = 0; ///< links left to cross, including this one
@@ -150,20 +170,6 @@ class Calendar {
     return oat;
   }
 
-  /// Move every event at time `t` (== the cursor, as returned by next_at /
-  /// next_any) into `out`, ring entries first, then overflow spills.
-  void take(Cycle t, std::vector<T>& out) {
-    auto& b = buckets_[t & kMask];
-    size_ -= b.size();
-    for (auto& v : b) out.push_back(v);
-    b.clear();
-    while (!over_.empty() && over_.top().at == t) {
-      out.push_back(over_.top().v);
-      over_.pop();
-      --size_;
-    }
-  }
-
   /// Visit every event at time `t` in place (ring first, then overflow).
   /// The visitor may push into this calendar: pushed times are strictly
   /// future, so they land in other buckets and never grow the one being
@@ -218,8 +224,10 @@ class FastModel {
                  "per node per cycle at most)");
     HN_CHECK_MSG(params.max_cycles <= 0xffffffffULL,
                  "fast model packs creation cycles into 32 bits");
-    route_ref_.assign(static_cast<size_t>(n_) * static_cast<size_t>(n_),
-                      RouteRef{0, -1});
+    HN_CHECK_MSG(n_ <= 65536,
+                 "fast model packs node ids into 16 bits (k <= 256)");
+    HN_CHECK_MSG(fps_ <= 0xffff,
+                 "fast model packs packet lengths into 16 bits");
     links_flat_.reserve(1024);
     ni_free_.assign(static_cast<size_t>(n_), 0);
     eject_free_.assign(static_cast<size_t>(n_), 0);
@@ -236,14 +244,7 @@ class FastModel {
     }
     if (tdm_) {
       ni_.resize(static_cast<size_t>(n_));
-      for (NiState& st : ni_) {
-        st.freq.assign(static_cast<size_t>(n_), 0);
-        st.cooldown_until.assign(static_cast<size_t>(n_), 0);
-        st.pending_until.assign(static_cast<size_t>(n_), 0);
-      }
-      tables_.reserve(static_cast<size_t>(n_));
-      for (int v = 0; v < n_; ++v)
-        tables_.emplace_back(cfg.slot_table_size, cfg.slot_table_size);
+      tables_.resize(static_cast<size_t>(n_));
     }
     if (p_ > 0.0 && p_ < 1.0) inv_log1m_p_ = 1.0 / std::log1p(-p_);
     nodes_u64_ = static_cast<std::uint64_t>(n_);
@@ -373,24 +374,68 @@ class FastModel {
   static NodeId link_router(int link) { return link / 4; }
   static Port link_port(int link) { return static_cast<Port>(link % 4 + 1); }
 
-  RouteRef route(NodeId src, NodeId dst) {
-    RouteRef& rr = route_ref_[static_cast<size_t>(src) *
-                                  static_cast<size_t>(n_) +
-                              static_cast<size_t>(dst)];
-    if (rr.hops < 0) build_route(rr, src, dst);
-    return rr;
+  // --- per-pair records ---------------------------------------------------
+
+  /// The record of pair (src, dst), created on first use. The reference is
+  /// valid only until the next call that may create a pair: never hold it
+  /// across one.
+  Pair& pair(NodeId src, NodeId dst) {
+    const std::uint32_t key = static_cast<std::uint32_t>(src) *
+                                  static_cast<std::uint32_t>(n_) +
+                              static_cast<std::uint32_t>(dst);
+    const size_t mask = pair_slots_.size() - 1;
+    for (size_t i = pair_hash(key);; i = (i + 1) & mask) {
+      const PairSlot& s = pair_slots_[i];
+      if (s.idx == kNoPair) return new_pair(key, src, dst);
+      if (s.key == key) return pairs_[s.idx];
+    }
   }
 
-  /// Unroll route_xy from src to dst onto the end of links_flat_.
-  void build_route(RouteRef& rr, NodeId src, NodeId dst) {
-    rr = {static_cast<std::uint32_t>(links_flat_.size()), 0};
+  RouteRef route(NodeId src, NodeId dst) { return pair(src, dst).rr; }
+
+  size_t pair_hash(std::uint32_t key) const {
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> pair_shift_);
+  }
+
+  /// Append pair (src, dst) with its route unrolled from route_xy onto the
+  /// end of links_flat_; the index doubles before it passes half load.
+  Pair& new_pair(std::uint32_t key, NodeId src, NodeId dst) {
+    if (2 * (pairs_.size() + 1) > pair_slots_.size()) {
+      const std::vector<PairSlot> old = std::exchange(
+          pair_slots_, std::vector<PairSlot>(2 * pair_slots_.size()));
+      --pair_shift_;
+      for (const PairSlot& s : old)
+        if (s.idx != kNoPair) place_pair(s);
+    }
+    place_pair(PairSlot{key, static_cast<std::uint32_t>(pairs_.size())});
+    Pair& p = pairs_.emplace_back();
+    p.rr.off = static_cast<std::uint32_t>(links_flat_.size());
     for (NodeId here = src;;) {
       const Port out = route_xy(mesh_, here, dst);
-      if (out == Port::Local) return;
+      if (out == Port::Local) return p;
       links_flat_.push_back(link_id(here, out));
-      ++rr.hops;
+      ++p.rr.hops;
       here = mesh_.neighbor(here, out);
     }
+  }
+
+  void place_pair(PairSlot s) {
+    const size_t mask = pair_slots_.size() - 1;
+    size_t i = pair_hash(s.key);
+    while (pair_slots_[i].idx != kNoPair) i = (i + 1) & mask;
+    pair_slots_[i] = s;
+  }
+
+  /// Node v's slot table, created empty the first time anything touches it.
+  /// Nothing expires the model's reservations, so the tables keep no expiry
+  /// index.
+  SlotTable& table(NodeId v) {
+    std::unique_ptr<SlotTable>& t = tables_[static_cast<size_t>(v)];
+    if (!t) {
+      t = std::make_unique<SlotTable>(slots_, slots_);
+      t->set_expiry_tracking(false);
+    }
+    return *t;
   }
 
   int link(RouteRef rr, int i) const {
@@ -560,10 +605,10 @@ class FastModel {
     return ej + 2 + static_cast<Cycle>(flits - 1);
   }
 
-  /// Launch one data packet: serialize at the source NI, then walk the route
-  /// hop by hop via HopEvents so links serve heads in arrival order.
-  void ps_launch(NodeId src, NodeId dst, Cycle t, int flits) {
-    const RouteRef rr = route(src, dst);
+  /// Launch one data packet over route `rr`: serialize at the source NI,
+  /// then walk the route hop by hop via HopEvents so links serve heads in
+  /// arrival order.
+  void ps_launch(NodeId src, NodeId dst, RouteRef rr, Cycle t, int flits) {
     const Cycle head = std::max(t, ni_free_[static_cast<size_t>(src)]);
     ni_free_[static_cast<size_t>(src)] = head + static_cast<Cycle>(flits);
     if (tdm_) {
@@ -624,7 +669,7 @@ class FastModel {
     if (t < st.epoch_start + static_cast<Cycle>(cfg_.policy_epoch_cycles))
       return;
     st.epoch_start = t;
-    std::fill(st.freq.begin(), st.freq.end(), 0);
+    ++st.epoch;  // every pair's freq count restarts from zero
     // Retire connections idle beyond the timeout (HybridNi::epoch_tick).
     std::vector<NodeId> idle;
     for (const auto& [dst, conn] : st.conns) {
@@ -647,8 +692,8 @@ class FastModel {
     const int mask = slots_ - 1;
     for (int i = 0; i <= rr.hops; ++i) {
       const RouteHop hop = route_hop(rr, dst, i);
-      tables_[static_cast<size_t>(hop.router)].release(
-          (w.slot + 2 * i) & mask, dur_, hop.in, w.owner);
+      table(hop.router).release((w.slot + 2 * i) & mask, dur_, hop.in,
+                                w.owner);
       dyn_.slot_table_writes += static_cast<std::uint64_t>(dur_);
     }
     reserve_links(rr, -dur_);
@@ -676,7 +721,7 @@ class FastModel {
       const int cand = static_cast<int>(rng.uniform_int(S));
       if (cand == avoid) continue;
       if (slot < 0) slot = cand;
-      if (tables_[static_cast<size_t>(src)].input_free(cand, dur_, Port::Local))
+      if (table(src).input_free(cand, dur_, Port::Local))
         return cand;
     }
     if (slot < 0)
@@ -700,7 +745,7 @@ class FastModel {
       int fail_at = -1;
       for (int i = 0; i <= rr.hops; ++i) {
         const RouteHop hop = route_hop(rr, dst, i);
-        SlotTable& tab = tables_[static_cast<size_t>(hop.router)];
+        SlotTable& tab = table(hop.router);
         const int s = (slot0 + 2 * i) & mask;
         if (tab.occupancy() >= cfg_.reservation_threshold ||
             !tab.reserve(s, dur_, hop.in, hop.out, owner, t)) {
@@ -717,7 +762,7 @@ class FastModel {
         Conn& conn = st.conns[dst];
         conn.windows.push_back(Window{slot0, d2, 0, owner});
         if (conn.last_used < d2) conn.last_used = d2;
-        st.pending_until[dst] = d2;
+        pair(src, dst).pending_until = d2;
         return;
       }
       // Release the reserved prefix and account the partial setup, the
@@ -725,8 +770,8 @@ class FastModel {
       // when the source's own table refused).
       for (int i = 0; i < fail_at; ++i) {
         const RouteHop hop = route_hop(rr, dst, i);
-        tables_[static_cast<size_t>(hop.router)].release(
-            (slot0 + 2 * i) & mask, dur_, hop.in, owner);
+        table(hop.router).release((slot0 + 2 * i) & mask, dur_, hop.in,
+                                  owner);
         dyn_.slot_table_writes += static_cast<std::uint64_t>(dur_);
       }
       if (fail_at > 0) {
@@ -737,20 +782,18 @@ class FastModel {
       }
       avoid = slot0;
     }
-    st.cooldown_until[dst] =
+    pair(src, dst).cooldown_until =
         t + 4 * static_cast<Cycle>(cfg_.policy_epoch_cycles);
   }
 
-  void maybe_setup(NodeId src, NodeId dst, Cycle t, bool force,
-                   bool supplement) {
+  /// A setup for (src, dst) if the policy allows one now: a first circuit
+  /// (the caller checked the pair's frequency), or with `supplement` an
+  /// extra window for an existing one.
+  void maybe_setup(NodeId src, NodeId dst, Cycle t, bool supplement) {
     NiState& st = ni_[static_cast<size_t>(src)];
     if (dst == src) return;
-    // Guards are a pure conjunction, so order by cost: the freq counter was
-    // incremented by the caller a moment ago (cache-hot) and fails for
-    // almost every packet, while pending/cooldown are scattered loads.
-    if (!force && st.freq[static_cast<size_t>(dst)] < cfg_.path_freq_threshold)
-      return;
-    if (t < st.pending_until[static_cast<size_t>(dst)]) return;
+    const Pair& p = pair(src, dst);
+    if (t < p.pending_until) return;
     const auto cit = st.conns.find(dst);
     if (supplement) {
       if (cit == st.conns.end() ||
@@ -758,13 +801,13 @@ class FastModel {
               cfg_.max_windows_per_pair)
         return;
       // Breadth before depth: a crowded local table serves new pairs first.
-      if (tables_[static_cast<size_t>(src)].occupancy() > 0.5) return;
+      if (table(src).occupancy() > 0.5) return;
     } else if (cit != st.conns.end()) {
       return;
     }
-    if (t < st.cooldown_until[static_cast<size_t>(dst)]) return;
+    if (t < p.cooldown_until) return;
     // Retire the idlest connection when the local table is crowded.
-    if (tables_[static_cast<size_t>(src)].occupancy() > 0.5 &&
+    if (table(src).occupancy() > 0.5 &&
         !st.conns.empty()) {
       auto idlest = st.conns.begin();
       for (auto it = st.conns.begin(); it != st.conns.end(); ++it)
@@ -779,10 +822,10 @@ class FastModel {
 
   enum class CsAttempt { Scheduled, NoWindow, NotWorth };
 
-  CsAttempt try_circuit(NodeId src, NodeId dst, Cycle t, int payload_flits) {
+  CsAttempt try_circuit(NodeId src, NodeId dst, RouteRef rr, Cycle t,
+                        int payload_flits) {
     NiState& st = ni_[static_cast<size_t>(src)];
     Conn& conn = st.conns[dst];
-    const RouteRef rr = route(src, dst);
     const int h = rr.hops;
     const auto S = static_cast<Cycle>(slots_);
     Cycle best = kCycleNever;
@@ -851,25 +894,33 @@ class FastModel {
   /// One admitted injection at NI v; dst < 0 is a synthetic draw that
   /// produced no packet (the NI's epoch still advances). Circuit-ineligible
   /// messages skip the whole policy block, including the pair-frequency
-  /// count.
+  /// count. The pair is looked up once; its route is copied because a setup
+  /// may create pairs and move the record.
   void inject(NodeId v, NodeId dst, int flits, bool cs_eligible, Cycle t) {
     if (tdm_) epoch_tick(v, t);
     if (dst < 0) return;
     if (measuring_)
       window_generated_flits_ += static_cast<std::uint64_t>(flits);
 
+    Pair& p = pair(v, dst);
+    const RouteRef rr = p.rr;
     if (tdm_ && cs_eligible) {
       NiState& st = ni_[static_cast<size_t>(v)];
-      ++st.freq[static_cast<size_t>(dst)];
+      if (p.freq_epoch != st.epoch) {
+        p.freq_epoch = st.epoch;
+        p.freq = 0;
+      }
+      const int freq = ++p.freq;
       if (!st.conns.empty() && st.conns.find(dst) != st.conns.end()) {
-        const CsAttempt r = try_circuit(v, dst, t, flits);
+        const CsAttempt r = try_circuit(v, dst, rr, t, flits);
         if (r == CsAttempt::Scheduled) return;
         if (r == CsAttempt::NoWindow)
-          maybe_setup(v, dst, t, /*force=*/true, /*supplement=*/true);
+          maybe_setup(v, dst, t, /*supplement=*/true);
       }
-      maybe_setup(v, dst, t, /*force=*/false, /*supplement=*/false);
+      if (freq >= cfg_.path_freq_threshold)
+        maybe_setup(v, dst, t, /*supplement=*/false);
     }
-    ps_launch(v, dst, t, flits);
+    ps_launch(v, dst, rr, t, flits);
   }
 
   /// pattern_destination, specialised at construction time: deterministic
@@ -972,7 +1023,7 @@ class FastModel {
   std::uint64_t nodes_threshold_ = 0; ///< 2^64 mod num_nodes (rejection)
   bool nodes_pow2_ = false;
   std::vector<NiState> ni_;
-  std::vector<SlotTable> tables_;
+  std::vector<std::unique_ptr<SlotTable>> tables_;  ///< see table()
   PacketId next_owner_id_ = 1;
 
   double inv_log1m_p_ = 0.0;  ///< 1 / log1p(-p), hoisted for inject_gap
@@ -980,8 +1031,14 @@ class FastModel {
   Calendar<NodeId> inj_;           ///< next injection time per node
   Calendar<Delivery> deliveries_;  ///< finished transfers awaiting tallying
   Calendar<HopEvent> hops_;
-  std::vector<int> links_flat_;        ///< per-route link ids, concatenated
-  std::vector<RouteRef> route_ref_;    ///< route -> {links_flat_ offset, hops}
+  std::vector<int> links_flat_;  ///< per-route link ids, concatenated
+  /// Open-addressing (linear probing) index of pairs_, keyed by
+  /// src * n + dst; slots store the key, so probing never touches a record.
+  static constexpr unsigned kInitialPairBits = 10;
+  std::vector<PairSlot> pair_slots_ =
+      std::vector<PairSlot>(size_t{1} << kInitialPairBits);
+  unsigned pair_shift_ = 64 - kInitialPairBits;  ///< 64 - log2(slots)
+  std::vector<Pair> pairs_;
 
   // measurement
   bool armed_ = false, measuring_ = false, saturated_ = false, done_ = false;
@@ -1036,6 +1093,9 @@ RunResult run_trace_fast(const NocConfig& cfg,
   std::string why;
   HN_CHECK_MSG(fast_model_supports(cfg, &why), why.c_str());
   check_replayable(entries, cfg.k * cfg.k);
+  for (const TraceEntry& e : entries)
+    HN_CHECK_MSG(e.flits <= 0xffff,
+                 "fast model packs packet lengths into 16 bits");
   return FastModel(cfg, params).run(entries);
 }
 

@@ -44,6 +44,7 @@ void check_replayable(const std::vector<TraceEntry>& entries, int num_nodes) {
                      e.dst < num_nodes,
                  "trace entry outside the mesh");
     HN_CHECK_MSG(e.src != e.dst, "self-directed trace entry");
+    HN_CHECK_MSG(e.flits >= 1, "trace entry without flits");
     HN_CHECK_MSG(i == 0 || entries[i - 1].cycle <= e.cycle,
                  "trace entries must be sorted by cycle");
   }

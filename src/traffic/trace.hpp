@@ -32,8 +32,8 @@ void save_trace(std::ostream& out, const std::vector<TraceEntry>& entries);
 
 /// Aborts (HN_CHECK) unless `entries` can be replayed on a mesh of
 /// `num_nodes` nodes: non-empty, sorted by cycle, and every entry runs
-/// between two distinct in-mesh nodes. Every replay entry point (both
-/// fidelities) runs it before simulating.
+/// between two distinct in-mesh nodes and carries at least one flit. Every
+/// replay entry point (both fidelities) runs it before simulating.
 void check_replayable(const std::vector<TraceEntry>& entries, int num_nodes);
 
 /// Replays a trace, optionally looping it forever (the trace's span is

@@ -1,12 +1,14 @@
 // Unit tests for the transfer-level fast model: zero-load timing against
 // the analytic pipeline formula, bit-determinism per seed, saturation
 // detection, engine dispatch via RunParams::fidelity, and the supported-
-// configuration gate, exact golden fingerprints of four runs, and the trace
-// input checks. Cross-fidelity accuracy against the cycle core lives in
-// accuracy_test.cpp (ctest -L accuracy).
+// configuration gate, exact golden fingerprints of five runs, the trace and
+// mesh-size input checks, and a memory guard at 128x128. Cross-fidelity
+// accuracy against the cycle core lives in accuracy_test.cpp
+// (ctest -L accuracy).
 #include "fastmodel/fast_model.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include "common/assert.hpp"
 #include "sim/driver.hpp"
@@ -134,7 +136,7 @@ TEST(FastModel, SupportGateNamesUnsupportedFeatures) {
 
 // --- golden fingerprints ---------------------------------------------------
 //
-// Four runs pinned field by field, exactly: every RunResult field and all 16
+// Five runs pinned field by field, exactly: every RunResult field and all 16
 // energy counters. Self-determinism and the accuracy bands would both miss a
 // change that shifts a single link claim, slot reservation or rng draw;
 // these would not. A deliberate change to the model's behaviour re-records
@@ -325,6 +327,48 @@ TEST(FastModelGolden, HybridTdmCoherenceTrace) {
   expect_fingerprint(r, golden);
 }
 
+TEST(FastModelGolden, HybridTdmHotspot32x32) {
+  // The goldens above touch at most ~4k source-destination pairs; this one
+  // touches ~49k, so the per-pair records are created, found and moved at
+  // scale. Hotspot traffic at the default frequency threshold (6 packets a
+  // pair per epoch) sets up almost no circuits on 1024 nodes; a threshold
+  // of 2 makes setups, failed setups with their cooldowns, and idle
+  // teardowns common while the run stays below saturation.
+  NocConfig cfg = NocConfig::hybrid_tdm_vc4(32);
+  cfg.path_freq_threshold = 2;
+  RunParams p = golden_params(TrafficPattern::Hotspot, 0.01);
+  p.measure_packets = 50000;
+  const RunResult r = run_synthetic_fast(cfg, p);
+  EXPECT_GT(r.cs_flit_fraction, 0.0);
+  const RunResult golden{
+      .offered_rate = 0.01,
+      .accepted_rate = 0.0099298442673005499,
+      .avg_latency = 208.71118577628448,
+      .p99_latency = 780.17068965517205,
+      .saturated = false,
+      .measured_packets = 50001,
+      .cycles = 24768,
+      .energy = {.buffer_writes = 5408845,
+                 .buffer_reads = 5408845,
+                 .xbar_flits = 5418813,
+                 .vc_arbs = 1195009,
+                 .sw_arbs = 5408845,
+                 .link_flits = 5155815,
+                 .slot_table_reads = 25362432,
+                 .slot_table_writes = 348620,
+                 .dlt_accesses = 0,
+                 .cs_latch_flits = 9968,
+                 .cycles = 25362432,
+                 .vc_active_cycles = 507248640,
+                 .slot_entry_active_cycles = 6492782592,
+                 .dlt_active_cycles = 0,
+                 .cs_misc_active_cycles = 25362432,
+                 .link_active_cycles = 98279424},
+      .cs_flit_fraction = 0.002081231580703329,
+      .config_flit_fraction = 0.042677130624567489};
+  expect_fingerprint(r, golden);
+}
+
 // --- trace input checks ------------------------------------------------------
 
 TEST(FastModel, MalformedTracesAreRejectedAtBothFidelities) {
@@ -339,6 +383,8 @@ TEST(FastModel, MalformedTracesAreRejectedAtBothFidelities) {
       {TraceEntry{0, 16, 3, 5}},                         // src == k*k
       {TraceEntry{0, 1, 2, 5}, TraceEntry{4, 3, 3, 5}},  // self-directed
       {TraceEntry{5, 1, 2, 5}, TraceEntry{4, 2, 1, 5}},  // out of order
+      {TraceEntry{0, 1, 2, 0}},                          // no flits
+      {TraceEntry{0, 1, 2, 5}, TraceEntry{3, 2, 1, -4}}, // negative flits
   };
   ScopedCheckThrows guard;
   for (size_t i = 0; i < bad.size(); ++i) {
@@ -351,6 +397,39 @@ TEST(FastModel, MalformedTracesAreRejectedAtBothFidelities) {
     EXPECT_THROW((void)run_trace_fast(cfg, bad[i], RunParams{}), CheckFailure)
         << "entry set " << i << " via run_trace_fast";
   }
+  // The fast model packs packet lengths into 16 bits and node ids into 16
+  // bits: a longer message or a mesh beyond 256x256 is refused rather than
+  // silently wrapped.
+  const std::vector<TraceEntry> too_long = {TraceEntry{0, 1, 2, 65536}};
+  RunParams fast;
+  fast.fidelity = Fidelity::Fast;
+  EXPECT_THROW((void)run_trace(cfg, too_long, fast), CheckFailure);
+  EXPECT_THROW((void)run_trace_fast(cfg, too_long, RunParams{}), CheckFailure);
+  EXPECT_THROW((void)run_synthetic_fast(
+                   NocConfig::hybrid_tdm_vc4(257),
+                   base_params(TrafficPattern::UniformRandom, 0.1)),
+               CheckFailure);
+}
+
+// --- scale -------------------------------------------------------------------
+
+TEST(FastModel, Mesh128RunsTwinIdenticalInBoundedMemory) {
+  // Per-pair state is created on first use, so a short 128x128 run stays
+  // far below the ~7.5 GB that n²-sized per-pair arrays would take at this
+  // size (16384 nodes, 2^28 pairs).
+  RunParams p = base_params(TrafficPattern::UniformRandom, 0.02);
+  p.warmup_packets = 2000;
+  p.warmup_min_cycles = 500;
+  p.measure_packets = 20000;
+  const NocConfig cfg = NocConfig::hybrid_tdm_vc4(128);
+  const RunResult a = run_synthetic_fast(cfg, p);
+  const RunResult b = run_synthetic_fast(cfg, p);
+  expect_fingerprint(a, b);
+  EXPECT_FALSE(a.saturated);
+  EXPECT_GE(a.measured_packets, p.measure_packets);
+  rusage ru{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &ru), 0);
+  EXPECT_LT(ru.ru_maxrss, 1L << 20) << "peak RSS in KiB";
 }
 
 }  // namespace
