@@ -56,6 +56,16 @@ class Channel : public ChannelBase {
     consumer_ = consumer_id;
   }
 
+  /// Mirror next_ready() into `*hint`, a slot the consumer owns, so the
+  /// consumer can skip a channel with nothing due without touching it. The
+  /// slot is written on every change of the front item: a send into an empty
+  /// queue, commit_staged (which runs on the consumer's shard) and every
+  /// pop. nullptr detaches.
+  void set_ready_hint(Cycle* hint) {
+    hint_ = hint;
+    publish_hint();
+  }
+
   /// Enqueue `item` at the end of cycle `now`; readable at now + latency.
   void send(T item, Cycle now) {
     const Cycle ready = now + static_cast<Cycle>(latency_);
@@ -67,6 +77,7 @@ class Channel : public ChannelBase {
     }
     HN_CHECK_MSG(queue_.empty() || queue_.back().ready <= ready,
                  "channel writes must be issued in cycle order");
+    if (queue_.empty() && hint_) *hint_ = ready;
     queue_.push_back({ready, std::move(item)});
     if (sched_) sched_->wake_at(consumer_, ready);
   }
@@ -92,6 +103,7 @@ class Channel : public ChannelBase {
       }
     }
     staging_.clear();
+    publish_hint();
   }
 
   /// Pop the item readable at `now`, if any.
@@ -100,6 +112,7 @@ class Channel : public ChannelBase {
     HN_CHECK_MSG(queue_.front().ready == now, "unconsumed channel item");
     T item = std::move(queue_.front().item);
     queue_.pop_front();
+    publish_hint();
     return item;
   }
 
@@ -142,11 +155,16 @@ class Channel : public ChannelBase {
     Cycle ready = 0;
     T item{};
   };
+  void publish_hint() {
+    if (hint_) *hint_ = next_ready();
+  }
+
   RingDeque<Entry> queue_;
   std::vector<Entry> staging_;  ///< cross-shard outbox (staged mode only)
   int latency_;
   TickScheduler* sched_ = nullptr;  ///< null under the legacy full sweep
   int consumer_ = -1;
+  Cycle* hint_ = nullptr;  ///< consumer-owned copy of next_ready()
 };
 
 using FlitChannel = Channel<Flit>;

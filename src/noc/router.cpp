@@ -12,13 +12,13 @@ namespace hybridnoc {
 Router::Router(const NocConfig& cfg, NodeId id, const Mesh& mesh)
     : cfg_(cfg), id_(id), mesh_(mesh), announced_active_vcs_(cfg.num_vcs) {
   HN_CHECK_MSG(cfg_.num_vcs <= 32, "VC-state bitmasks hold at most 32 VCs");
+  flit_ready_.fill(kCycleNever);
+  credit_ready_.fill(kCycleNever);
   for (auto& ip : in_) {
     ip.vcs.resize(static_cast<size_t>(cfg_.num_vcs));
   }
   for (auto& op : out_) {
     op.credits.assign(static_cast<size_t>(cfg_.num_vcs), cfg_.vc_buffer_depth);
-    op.vc_busy.assign(static_cast<size_t>(cfg_.num_vcs), false);
-    op.tail_sent.assign(static_cast<size_t>(cfg_.num_vcs), false);
     op.grantable_mask =
         cfg_.num_vcs >= 32 ? ~0u : ((1u << static_cast<unsigned>(cfg_.num_vcs)) - 1u);
   }
@@ -32,6 +32,7 @@ void Router::connect_input(Port p, FlitChannel* data_in, CreditChannel* credit_o
   ip.credit_out = credit_out;
   ip.upstream = upstream;
   ip.upstream_out = upstream_out;
+  data_in->set_ready_hint(&flit_ready_[static_cast<size_t>(p)]);
   ++ports_present_;
 }
 
@@ -40,6 +41,7 @@ void Router::connect_output(Port p, FlitChannel* data_out, CreditChannel* credit
   HN_CHECK(op.data == nullptr);
   op.data = data_out;
   op.credit_in = credit_in;
+  credit_in->set_ready_hint(&credit_ready_[static_cast<size_t>(p)]);
 }
 
 void Router::set_downstream_active_vcs(Port p, const int* active_vcs) {
@@ -48,7 +50,7 @@ void Router::set_downstream_active_vcs(Port p, const int* active_vcs) {
 
 bool Router::holds_vc_allocation(Port out_port, int vc) const {
   const auto& op = out_[static_cast<size_t>(out_port)];
-  return op.vc_busy[static_cast<size_t>(vc)];
+  return (op.vc_busy >> static_cast<unsigned>(vc)) & 1u;
 }
 
 int Router::free_credits(Port out) const {
@@ -76,26 +78,32 @@ void Router::tick(Cycle now) {
   receive_credits(now);
   receive_flits(now);
   vc_allocate(now);
-  switch_allocate(now);
+  // Traversal drains the grants the previous cycle's switch allocation
+  // made before this cycle's allocation makes new ones.
   switch_traverse(now);
+  switch_allocate(now);
   vc_gating_tick(now);
   accounting_tick(now);
   leakage_tick(now);
 }
 
 void Router::receive_credits(Cycle now) {
-  for (auto& op : out_) {
-    if (!op.credit_in) continue;
+  for (size_t o = 0; o < kNumPorts; ++o) {
+    // Nothing due (or nothing wired): skip without touching the channel. A
+    // hint <= now still reaches receive(), so a missed item keeps aborting.
+    if (credit_ready_[o] > now) continue;
+    auto& op = out_[o];
     while (auto c = op.credit_in->receive(now)) {
       const auto v = static_cast<size_t>(c->vc);
       HN_CHECK(v < op.credits.size());
       ++op.credits[v];
       if (c->vc < op.cached_active) ++op.cached_free_credits;
       HN_CHECK_MSG(op.credits[v] <= cfg_.vc_buffer_depth, "credit overflow");
-      if (op.tail_sent[v] && op.credits[v] == cfg_.vc_buffer_depth) {
-        op.vc_busy[v] = false;
-        op.tail_sent[v] = false;
-        op.grantable_mask |= 1u << v;
+      const std::uint32_t bit = 1u << v;
+      if ((op.tail_sent & bit) && op.credits[v] == cfg_.vc_buffer_depth) {
+        op.vc_busy &= ~bit;
+        op.tail_sent &= ~bit;
+        op.grantable_mask |= bit;
       }
     }
   }
@@ -103,8 +111,8 @@ void Router::receive_credits(Cycle now) {
 
 void Router::receive_flits(Cycle now) {
   for (int p = 0; p < kNumPorts; ++p) {
+    if (flit_ready_[static_cast<size_t>(p)] > now) continue;  // see receive_credits
     auto& ip = in_[static_cast<size_t>(p)];
-    if (!ip.data) continue;
     while (auto f = ip.data->receive(now)) {
       // Per-hop CRC: detection only for data (the fail-dirty flit keeps
       // flowing and the destination NI squashes the packet) — but a damaged
@@ -192,7 +200,7 @@ void Router::vc_allocate(Cycle now) {
       const std::uint32_t at_or_after = eligible >> static_cast<unsigned>(start);
       const int grant = at_or_after != 0 ? start + std::countr_zero(at_or_after)
                                          : std::countr_zero(eligible);
-      op.vc_busy[static_cast<size_t>(grant)] = true;
+      op.vc_busy |= 1u << static_cast<unsigned>(grant);
       op.grantable_mask &= ~(1u << static_cast<unsigned>(grant));
       op.va_rr = (grant + 1) % active;
       st.out_vc = grant;
@@ -231,37 +239,37 @@ int Router::pick_sa_candidate(InputPort& ip, Port p, Cycle now) {
 
 void Router::switch_allocate(Cycle now) {
   // Separable allocation: one candidate VC per input port, then one input
-  // port per output port; both arbiters are round-robin.
+  // port per output port; both arbiters are round-robin. Each input's
+  // candidate lands in the request mask of its one output, so no input can
+  // win two outputs and the outputs are granted independently.
   std::array<int, kNumPorts> candidate{};
-  candidate.fill(-1);
-  bool any_candidate = false;
+  std::array<std::uint32_t, kNumPorts> requests{};  // bit p: input p wants o
+  std::uint32_t wanted = 0;                         // bit o: requests[o] != 0
   for (int p = 0; p < kNumPorts; ++p) {
     auto& ip = in_[static_cast<size_t>(p)];
     if (!ip.active_mask) continue;  // no Active VC, no candidate
     const int c = pick_sa_candidate(ip, static_cast<Port>(p), now);
+    if (c < 0) continue;
     candidate[static_cast<size_t>(p)] = c;
-    any_candidate = any_candidate || c >= 0;
+    const auto o = static_cast<unsigned>(ip.vcs[static_cast<size_t>(c)].out_port);
+    requests[o] |= 1u << static_cast<unsigned>(p);
+    wanted |= 1u << o;
   }
-  if (!any_candidate) return;
-  for (int o = 0; o < kNumPorts; ++o) {
-    auto& op = out_[static_cast<size_t>(o)];
+  while (wanted) {
+    const auto o = static_cast<unsigned>(std::countr_zero(wanted));
+    wanted &= wanted - 1;
+    auto& op = out_[o];
     if (!op.data) continue;
-    int winner = -1;
-    for (int i = 0; i < kNumPorts; ++i) {
-      const int p = (op.sa_rr + i) % kNumPorts;
-      const int v = candidate[static_cast<size_t>(p)];
-      if (v < 0) continue;
-      const VcState& st = in_[static_cast<size_t>(p)].vcs[static_cast<size_t>(v)];
-      if (static_cast<int>(st.out_port) != o) continue;
-      winner = p;
-      break;
-    }
-    if (winner < 0) continue;
+    // First requester at or after sa_rr, wrapping to the lowest — the visit
+    // order of the dense (sa_rr + i) % kNumPorts scan.
+    const std::uint32_t req = requests[o];
+    const std::uint32_t at_or_after = req >> static_cast<unsigned>(op.sa_rr);
+    const int winner = at_or_after != 0 ? op.sa_rr + std::countr_zero(at_or_after)
+                                        : std::countr_zero(req);
     op.sa_rr = (winner + 1) % kNumPorts;
 
     auto& ip = in_[static_cast<size_t>(winner)];
     const int v = candidate[static_cast<size_t>(winner)];
-    candidate[static_cast<size_t>(winner)] = -1;  // one grant per input
     VcState& st = ip.vcs[static_cast<size_t>(v)];
     ip.sa_rr = (v + 1) % cfg_.num_vcs;
 
@@ -278,7 +286,7 @@ void Router::switch_allocate(Cycle now) {
     if (st.out_vc < op.cached_active) --op.cached_free_credits;
     if (flit.is_tail()) {
       HN_CHECK_MSG(st.fifo.empty(), "flits behind a tail in a wormhole VC");
-      op.tail_sent[static_cast<size_t>(st.out_vc)] = true;
+      op.tail_sent |= 1u << static_cast<unsigned>(st.out_vc);
       st.state = VcState::S::Idle;
       ip.active_mask &= ~(1u << static_cast<unsigned>(v));
       st.pkt = nullptr;
@@ -290,16 +298,14 @@ void Router::switch_allocate(Cycle now) {
 
 void Router::switch_traverse(Cycle now) {
   xbar_out_used_.fill(false);
-  auto it = st_regs_.begin();
-  while (it != st_regs_.end()) {
-    if (it->st_cycle != now) {
-      ++it;
-      continue;
-    }
-    claim_xbar_output(it->out);
-    send_flit(it->out, it->flit, now);
-    it = st_regs_.erase(it);
+  // Every grant is for the cycle after its switch allocation, and a router
+  // holding one is busy, hence ticked that cycle: all registers drain now.
+  for (const StReg& sr : st_regs_) {
+    HN_CHECK_MSG(sr.st_cycle == now, "switch grant missed its traversal cycle");
+    claim_xbar_output(sr.out);
+    send_flit(sr.out, sr.flit, now);
   }
+  st_regs_.clear();
   traverse_circuit(now);
 }
 
@@ -505,10 +511,8 @@ bool Router::sched_busy() const { return draining_vc_ >= 0 || !idle(); }
 
 Cycle Router::sched_next_event(Cycle now) const {
   Cycle next = kCycleNever;
-  for (const auto& ip : in_)
-    if (ip.data) next = std::min(next, ip.data->next_ready());
-  for (const auto& op : out_)
-    if (op.credit_in) next = std::min(next, op.credit_in->next_ready());
+  for (size_t p = 0; p < kNumPorts; ++p)
+    next = std::min({next, flit_ready_[p], credit_ready_[p]});
   if (cfg_.vc_power_gating) {
     // Wake for the next gating-epoch boundary whenever it is not provably a
     // no-op: pending integrals to fold, a drain in flight, a VC that could
@@ -554,9 +558,9 @@ void Router::save_state(StateWriter& w) const {
     const auto& op = out_[p];
     if (!op.data) continue;
     for (const int c : op.credits) w.i32(c);
-    for (size_t v = 0; v < op.vc_busy.size(); ++v) {
-      w.b(op.vc_busy[v]);
-      w.b(op.tail_sent[v]);
+    for (int v = 0; v < cfg_.num_vcs; ++v) {
+      w.b((op.vc_busy >> v) & 1u);
+      w.b((op.tail_sent >> v) & 1u);
     }
     w.i32(op.sa_rr);
     w.i32(op.va_rr);
@@ -583,9 +587,11 @@ void Router::restore_state(StateReader& r) {
     auto& op = out_[p];
     if (!op.data) continue;
     for (int& c : op.credits) c = r.i32();
-    for (size_t v = 0; v < op.vc_busy.size(); ++v) {
-      op.vc_busy[v] = r.b();
-      op.tail_sent[v] = r.b();
+    op.vc_busy = 0;
+    op.tail_sent = 0;
+    for (int v = 0; v < cfg_.num_vcs; ++v) {
+      if (r.b()) op.vc_busy |= 1u << v;
+      if (r.b()) op.tail_sent |= 1u << v;
     }
     op.sa_rr = r.i32();
     op.va_rr = r.i32();
@@ -593,9 +599,9 @@ void Router::restore_state(StateReader& r) {
     // have changed: recompute on first use.
     op.cached_active = -1;
     op.grantable_mask = 0;
-    for (size_t v = 0; v < op.vc_busy.size(); ++v) {
-      if (!op.vc_busy[v] && !op.tail_sent[v] &&
-          op.credits[v] == cfg_.vc_buffer_depth) {
+    for (int v = 0; v < cfg_.num_vcs; ++v) {
+      if (!(((op.vc_busy | op.tail_sent) >> v) & 1u) &&
+          op.credits[static_cast<size_t>(v)] == cfg_.vc_buffer_depth) {
         op.grantable_mask |= 1u << v;
       }
     }

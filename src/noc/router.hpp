@@ -167,8 +167,8 @@ class Router : public VcHolder {
     CreditChannel* credit_in = nullptr;
     const int* downstream_active_vcs = nullptr;
     std::vector<int> credits;
-    std::vector<bool> vc_busy;    ///< allocated to an in-flight packet
-    std::vector<bool> tail_sent;  ///< tail gone; waiting for credits to refill
+    std::uint32_t vc_busy = 0;    ///< bit v: VC v allocated to an in-flight packet
+    std::uint32_t tail_sent = 0;  ///< bit v: tail gone; waiting for credits to refill
     int sa_rr = 0;   ///< round-robin pointer over input ports
     int va_rr = 0;   ///< round-robin pointer over downstream VCs
     /// Incrementally maintained sum of credits[0..cached_active), the
@@ -245,6 +245,13 @@ class Router : public VcHolder {
   std::array<InputPort, kNumPorts> in_;
   std::array<OutputPort, kNumPorts> out_;
   EnergyCounters energy_;
+  /// Ready hints (Channel::set_ready_hint) of the input flit channels and
+  /// the output credit channels: next_ready() of each, kCycleNever for an
+  /// empty or unconnected channel. The receive stages and the advance-signal
+  /// peek skip a port whose hint lies in the future without touching its
+  /// channel.
+  std::array<Cycle, kNumPorts> flit_ready_;
+  std::array<Cycle, kNumPorts> credit_ready_;
   /// Number of cycles whose per-cycle energy constants are already in
   /// energy_ (== the cycle after the last accounted one). Cycles in
   /// [accounted_until_, now) were slept through and are folded lazily.

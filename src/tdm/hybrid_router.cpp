@@ -18,9 +18,10 @@ HybridRouter::HybridRouter(const NocConfig& cfg, NodeId id, const Mesh& mesh,
 }
 
 const Flit* HybridRouter::peek_arrival(Port port, Cycle cycle) const {
-  const auto& ip = in_[static_cast<size_t>(port)];
-  if (!ip.data) return nullptr;
-  return ip.data->peek_arrival(cycle);
+  // A future (or never) ready hint answers "no arrival" on its own; a stale
+  // one still reaches the channel, whose check flags the unconsumed item.
+  if (flit_ready_[static_cast<size_t>(port)] > cycle) return nullptr;
+  return in_[static_cast<size_t>(port)].data->peek_arrival(cycle);
 }
 
 bool HybridRouter::cs_arrival_expected(Port port, Cycle cycle) const {

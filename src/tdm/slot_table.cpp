@@ -1,5 +1,7 @@
 #include "tdm/slot_table.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "common/state_io.hpp"
 
@@ -13,6 +15,7 @@ SlotTable::SlotTable(int capacity, int active)
     : capacity_(capacity), active_(active) {
   HN_CHECK(is_pow2(capacity) && is_pow2(active) && active <= capacity);
   for (auto& column : entries_) column.resize(static_cast<size_t>(capacity));
+  out_mask_.assign(static_cast<size_t>(capacity), 0);
 }
 
 bool SlotTable::can_reserve(int slot, int duration, Port in, Port out) const {
@@ -20,13 +23,9 @@ bool SlotTable::can_reserve(int slot, int duration, Port in, Port out) const {
   for (int d = 0; d < duration; ++d) {
     const int s = wrap(slot + d);
     if (at(s, in).valid) return false;  // input conflict (Fig 1, setup 2)
-    for (int j = 0; j < kNumPorts; ++j) {
-      const Port pj = static_cast<Port>(j);
-      if (pj == in) continue;
-      if (valid_by_port_[static_cast<size_t>(j)] == 0) continue;
-      const Entry& e = at(s, pj);
-      if (e.valid && e.out == out) return false;  // output conflict (setup 3)
-    }
+    // Output conflict (setup 3). `in` itself holds nothing at s (checked
+    // above), so a set bit always belongs to another input.
+    if (out_mask_[static_cast<size_t>(s)] & out_bit(out)) return false;
   }
   return true;
 }
@@ -42,6 +41,7 @@ bool SlotTable::reserve(int slot, int duration, Port in, Port out,
     e.owner = owner;
     e.stamp = now;
     ++valid_by_port_[static_cast<size_t>(in)];
+    out_mask_[static_cast<size_t>(s)] |= out_bit(out);
     note_expiry(s, in, e);
   }
   return true;
@@ -51,13 +51,12 @@ std::optional<Port> SlotTable::release(int slot, int duration, Port in,
                                        PacketId owner) {
   std::optional<Port> first_out;
   for (int d = 0; d < duration; ++d) {
-    Entry& e = at(wrap(slot + d), in);
+    const int s = wrap(slot + d);
+    Entry& e = at(s, in);
     if (!e.valid) continue;
     if (owner != 0 && e.owner != owner) continue;  // someone else's entry
     if (!first_out) first_out = e.out;
-    e.valid = false;
-    e.bucket = kNoExpiryBucket;  // its bucket reference is now stale
-    --valid_by_port_[static_cast<size_t>(in)];
+    invalidate(s, in, e);
   }
   return first_out;
 }
@@ -90,6 +89,7 @@ void SlotTable::refresh(int slot, int count, Port in, Cycle now) {
 
 std::optional<Port> SlotTable::output_reserved_at(Cycle cycle, Port out) const {
   const int s = slot_of(cycle);
+  if (!(out_mask_[static_cast<size_t>(s)] & out_bit(out))) return std::nullopt;
   for (int j = 0; j < kNumPorts; ++j) {
     if (valid_by_port_[static_cast<size_t>(j)] == 0) continue;
     const Entry& e = at(s, static_cast<Port>(j));
@@ -119,6 +119,7 @@ void SlotTable::reset() {
     }
   }
   valid_by_port_.fill(0);
+  std::fill(out_mask_.begin(), out_mask_.end(), std::uint8_t{0});
   for (auto& buckets : expiry_buckets_) buckets.clear();
 }
 
@@ -204,6 +205,12 @@ void SlotTable::restore_state(StateReader& r) {
       e.owner = r.u64();
       e.stamp = r.u64();
       ++valid_by_port_[static_cast<size_t>(j)];
+      // can_reserve never lets two inputs hold one output at a slot.
+      std::uint8_t& mask = out_mask_[static_cast<size_t>(s)];
+      if (mask & out_bit(e.out)) {
+        throw StateError("two slot entries hold one output");
+      }
+      mask |= out_bit(e.out);
     }
   }
   if (track) set_expiry_tracking(true);

@@ -114,8 +114,7 @@ class SlotTable {
         for (int s = 0; s < active_; ++s) {
           Entry& e = at(s, in);
           if (!e.valid || e.stamp >= cutoff) continue;
-          e.valid = false;
-          --valid_by_port_[static_cast<size_t>(j)];
+          invalidate(s, in, e);
           ++expired;
           on_expire(s, in);
         }
@@ -135,9 +134,7 @@ class SlotTable {
             survivors.push_back(slot);
             continue;
           }
-          e.valid = false;
-          e.bucket = kNoExpiryBucket;
-          --valid_by_port_[static_cast<size_t>(j)];
+          invalidate(static_cast<int>(slot), in, e);
           ++expired;
           on_expire(static_cast<int>(slot), in);
         }
@@ -217,6 +214,16 @@ class SlotTable {
     return entries_[static_cast<size_t>(in)][static_cast<size_t>(slot)];
   }
   int wrap(int slot) const { return slot & (active_ - 1); }
+  static std::uint8_t out_bit(Port out) {
+    return static_cast<std::uint8_t>(1u << static_cast<unsigned>(out));
+  }
+  /// Drop the valid entry `e` at (slot, in) from every index.
+  void invalidate(int slot, Port in, Entry& e) {
+    e.valid = false;
+    e.bucket = kNoExpiryBucket;  // any bucket reference to it is now stale
+    --valid_by_port_[static_cast<size_t>(in)];
+    out_mask_[static_cast<size_t>(slot)] &= static_cast<std::uint8_t>(~out_bit(e.out));
+  }
   /// Index (or re-index) a just-stamped valid entry at (slot, in).
   void note_expiry(int slot, Port in, Entry& e) {
     if (!track_expiry_) return;
@@ -232,6 +239,10 @@ class SlotTable {
   /// One entry column per input port, each `capacity` slots long.
   std::array<std::vector<Entry>, kNumPorts> entries_;
   std::array<int, kNumPorts> valid_by_port_{};
+  /// Per slot: bit o set <=> some input's valid entry there holds output o
+  /// (at most one can, see can_reserve). Makes the output-conflict check
+  /// and the common "output free" answer of output_reserved_at one bit test.
+  std::vector<std::uint8_t> out_mask_;
   bool track_expiry_ = true;
   /// Per input port: stamp bucket -> slot indices, lazily validated.
   /// The ordered map keeps sweeps in deterministic ascending-bucket order;

@@ -77,6 +77,54 @@ TEST(Channel, InFlightCount) {
   EXPECT_EQ(ch.in_flight(), 1u);
 }
 
+TEST(Channel, ReadyHintTracksNextReady) {
+  // The consumer-owned hint mirrors next_ready() through eager sends,
+  // receives, and attaching to a channel that already holds items.
+  Channel<int> ch(2);
+  ch.send(1, 0);  // readable at 2
+  ch.send(2, 3);  // readable at 5
+  Cycle hint = 0;
+  ch.set_ready_hint(&hint);
+  EXPECT_EQ(hint, 2u);
+  EXPECT_EQ(hint, ch.next_ready());
+  ASSERT_TRUE(ch.receive(2).has_value());
+  EXPECT_EQ(hint, 5u);
+  EXPECT_FALSE(ch.receive(4).has_value());
+  EXPECT_EQ(hint, 5u);
+  ASSERT_TRUE(ch.receive(5).has_value());
+  EXPECT_EQ(hint, kCycleNever);
+  ch.send(3, 6);  // push into an empty queue: readable at 8
+  EXPECT_EQ(hint, 8u);
+  ch.send(4, 7);  // behind the front: hint unchanged
+  EXPECT_EQ(hint, 8u);
+  EXPECT_EQ(hint, ch.next_ready());
+}
+
+TEST(Channel, ReadyHintFollowsStagedCommit) {
+  // Staged sends leave the hint alone (the producer must not write the
+  // consumer's slot); commit_staged publishes the new front.
+  Channel<int> ch(1);
+  Cycle hint = 0;
+  ch.set_ready_hint(&hint);
+  EXPECT_EQ(hint, kCycleNever);
+  ch.set_staged(true);
+  ch.send(1, 4);  // readable at 5
+  ch.send(2, 4);
+  EXPECT_EQ(hint, kCycleNever);
+  ch.commit_staged();
+  EXPECT_EQ(hint, 5u);
+  EXPECT_EQ(hint, ch.next_ready());
+  ch.send(3, 5);  // staged behind a live front
+  ch.commit_staged();
+  EXPECT_EQ(hint, 5u);
+  ASSERT_TRUE(ch.receive(5).has_value());
+  ASSERT_TRUE(ch.receive(5).has_value());
+  EXPECT_EQ(hint, 6u);
+  ASSERT_TRUE(ch.receive(6).has_value());
+  EXPECT_EQ(hint, kCycleNever);
+  EXPECT_EQ(hint, ch.next_ready());
+}
+
 TEST(ChannelDeathTest, MissedItemIsAnError) {
   Channel<int> ch(1);
   ch.send(1, 0);  // readable at 1

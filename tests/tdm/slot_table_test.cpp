@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "common/state_io.hpp"
+
 namespace hybridnoc {
 namespace {
 
@@ -151,6 +158,125 @@ TEST(SlotTable, LeaseExpiryReclaimsStaleEntriesOnly) {
   EXPECT_EQ(t.lookup_slot(0, Port::West), std::nullopt);
   EXPECT_EQ(t.lookup_slot(8, Port::North), Port::South);
   EXPECT_EQ(t.valid_entries(), 2);
+}
+
+// Reference answers from the per-input columns alone (lookup_slot), so the
+// table's per-slot output index is checked against the entries it mirrors.
+std::optional<Port> brute_output_reserved_at(const SlotTable& t, Cycle cycle,
+                                             Port out) {
+  for (int j = 0; j < kNumPorts; ++j) {
+    if (t.lookup(cycle, static_cast<Port>(j)) == out) return static_cast<Port>(j);
+  }
+  return std::nullopt;
+}
+
+bool brute_can_reserve(const SlotTable& t, int slot, int duration, Port in,
+                       Port out) {
+  for (int d = 0; d < duration; ++d) {
+    const int s = (slot + d) & (t.active_size() - 1);
+    if (t.lookup_slot(s, in)) return false;
+    for (int j = 0; j < kNumPorts; ++j) {
+      if (static_cast<Port>(j) != in && t.lookup_slot(s, static_cast<Port>(j)) == out)
+        return false;
+    }
+  }
+  return true;
+}
+
+int draw(Rng& rng, int n) {
+  return static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(n)));
+}
+
+void expect_matches_brute_force(const SlotTable& t, Rng& rng, int step) {
+  for (int s = 0; s < t.active_size(); ++s) {
+    const Cycle c = static_cast<Cycle>(s + t.active_size() * draw(rng, 4));
+    for (int o = 0; o < kNumPorts; ++o) {
+      const Port out = static_cast<Port>(o);
+      ASSERT_EQ(t.output_reserved_at(c, out), brute_output_reserved_at(t, c, out))
+          << "step " << step << " slot " << s << " out " << o;
+    }
+  }
+  for (int k = 0; k < 16; ++k) {
+    const int slot = draw(rng, t.active_size());
+    const int dur = 1 + draw(rng, std::min(4, t.active_size()));
+    const Port in = static_cast<Port>(draw(rng, kNumPorts));
+    const Port out = static_cast<Port>(draw(rng, kNumPorts));
+    ASSERT_EQ(t.can_reserve(slot, dur, in, out), brute_can_reserve(t, slot, dur, in, out))
+        << "step " << step << " slot " << slot << " dur " << dur;
+  }
+}
+
+TEST(SlotTable, OutputIndexMatchesBruteForceUnderRandomOps) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    SlotTable t(32, 8);
+    t.set_expiry_tracking(seed % 2 == 0);
+    std::vector<PacketId> owners;  // setup ids ever used, for fenced releases
+    PacketId next_owner = 1;
+    Cycle now = 0;
+    for (int step = 0; step < 400; ++step) {
+      now += 1 + rng.uniform_int(200);
+      const int slot = draw(rng, t.active_size());
+      const int dur = 1 + draw(rng, std::min(4, t.active_size()));
+      const Port in = static_cast<Port>(draw(rng, kNumPorts));
+      const Port out = static_cast<Port>(draw(rng, kNumPorts));
+      const int op = draw(rng, 100);
+      if (op < 45) {
+        if (t.reserve(slot, dur, in, out, next_owner, now)) owners.push_back(next_owner);
+        ++next_owner;
+      } else if (op < 70) {
+        // Owner-fenced teardown, sometimes with a stale or foreign id.
+        const PacketId owner =
+            owners.empty() ? 0 : owners[rng.uniform_int(owners.size())];
+        (void)t.release(slot, dur, in, owner);
+      } else if (op < 78) {
+        t.refresh(slot, dur, in, now);
+      } else if (op < 86) {
+        const Cycle age = std::min<Cycle>(now, rng.uniform_int(2000));
+        (void)t.expire_older_than(now - age, [](int, Port) {});
+      } else if (op < 89) {
+        t.set_expiry_tracking(!rng.bernoulli(0.5));
+      } else if (op < 91) {
+        if (!t.grow()) t.set_active_size(8);
+      } else if (op < 92) {
+        t.set_active_size(8 << rng.uniform_int(3));
+      } else {
+        // Round trip through an archive, restored over the live table so a
+        // stale index bit would survive into the checks below.
+        StateWriter w;
+        t.save_state(w);
+        StateReader r(w.seal());
+        t.restore_state(r);
+        r.finish();
+      }
+      expect_matches_brute_force(t, rng, step);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(SlotTable, RestoreRejectsTwoInputsOnOneOutput) {
+  // can_reserve never lets this happen, so such an archive is malformed:
+  // restore must report it as a StateError, not abort.
+  StateWriter w;
+  w.section("slot_table");
+  w.i32(8);     // capacity
+  w.i32(8);     // active
+  w.b(false);   // expiry tracking
+  for (int j = 0; j < kNumPorts; ++j) {
+    const Port in = static_cast<Port>(j);
+    const bool holds = in == Port::West || in == Port::North;
+    w.i32(holds ? 1 : 0);
+    if (!holds) continue;
+    w.i32(3);                                     // slot
+    w.u8(static_cast<std::uint8_t>(Port::East));  // both claim East
+    w.u64(static_cast<std::uint64_t>(j));         // owner
+    w.u64(0);                                     // stamp
+  }
+  SlotTable t(8, 8);
+  StateReader r(w.seal());
+  EXPECT_THROW(t.restore_state(r), StateError);
 }
 
 TEST(SlotTableDeathTest, DurationBeyondActiveSizeRejected) {
