@@ -5,9 +5,12 @@
 //
 // Both grow by doubling and never shrink, so after a warmup high-water mark
 // steady-state traffic moves flits without touching the heap at all — the
-// property the zero-allocation perf test pins down. Neither container is
-// thread-safe; each instance is owned by exactly one shard, like the deques
-// and maps they replace.
+// property the zero-allocation perf test pins down. Channel queues and router
+// VC FIFOs take their first ring block when their owner is constructed
+// (RingDeque::reserve_initial), so that block sits next to the owner's other
+// state rather than wherever the heap was when warmup first pushed. Neither
+// container is thread-safe; each instance is owned by exactly one shard, like
+// the deques and maps they replace.
 #pragma once
 
 #include <algorithm>
@@ -96,6 +99,12 @@ class RingDeque {
 
   /// Storage currently reserved (steady-state high-water mark).
   std::size_t capacity() const { return buf_.size(); }
+
+  /// Allocate the first block now — the capacity the first push would grow
+  /// to anyway — so it is placed alongside its owner. No-op once allocated.
+  void reserve_initial() {
+    if (buf_.empty()) grow();
+  }
 
   /// Forward iterator over [front, back] in queue order. Enough of the
   /// iterator contract for range-for and the watchdog scans.

@@ -200,12 +200,13 @@ enum class FlitType : std::uint8_t { Head, Body, Tail, HeadTail };
 /// no refcount or allocator traffic.
 struct Flit {
   Packet* pkt = nullptr;
-  FlitType type = FlitType::HeadTail;
   int seq = 0;  ///< position within the packet, 0-based
+  FlitType type = FlitType::HeadTail;
   Switching switching = Switching::Packet;
   /// Virtual channel at the input port this flit is heading into; chosen by
-  /// the upstream VC allocator. Unused for circuit-switched flits.
-  int vc = 0;
+  /// the upstream VC allocator. Unused for circuit-switched flits. Eight bits
+  /// carry every legal VC (NocConfig::validate caps num_vcs at 32).
+  std::int8_t vc = 0;
   /// A link fault flipped payload bits in flight. Control fields (routing,
   /// VC, slot arithmetic) are assumed separately protected, so a corrupted
   /// flit still traverses normally; per-hop CRC checks flag it and the
@@ -216,5 +217,8 @@ struct Flit {
   bool is_tail() const { return type == FlitType::Tail || type == FlitType::HeadTail; }
   bool valid() const { return pkt != nullptr; }
 };
+// Field order packs the flit into two words, so a channel entry or a VC FIFO
+// slot (a Cycle plus a Flit) is 24 bytes.
+static_assert(sizeof(Flit) == 16, "Flit must stay 16 bytes");
 
 }  // namespace hybridnoc

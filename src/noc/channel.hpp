@@ -47,7 +47,10 @@ class ChannelBase {
 template <typename T>
 class Channel : public ChannelBase {
  public:
-  explicit Channel(int latency) : latency_(latency) { HN_CHECK(latency >= 1); }
+  explicit Channel(int latency) : latency_(latency) {
+    HN_CHECK(latency >= 1);
+    queue_.reserve_initial();
+  }
 
   /// Register the component that drains this channel, so every send wakes it
   /// at the item's ready cycle (the active-set scheduler's wake source).

@@ -16,6 +16,7 @@ Router::Router(const NocConfig& cfg, NodeId id, const Mesh& mesh)
   credit_ready_.fill(kCycleNever);
   for (auto& ip : in_) {
     ip.vcs.resize(static_cast<size_t>(cfg_.num_vcs));
+    for (auto& vc : ip.vcs) vc.fifo.reserve_initial();
   }
   for (auto& op : out_) {
     op.credits.assign(static_cast<size_t>(cfg_.num_vcs), cfg_.vc_buffer_depth);
@@ -281,7 +282,7 @@ void Router::switch_allocate(Cycle now) {
     if (ip.credit_out) ip.credit_out->send({bf.flit.vc}, now);
 
     Flit flit = bf.flit;
-    flit.vc = st.out_vc;
+    flit.vc = static_cast<std::int8_t>(st.out_vc);
     --op.credits[static_cast<size_t>(st.out_vc)];
     if (st.out_vc < op.cached_active) --op.cached_free_credits;
     if (flit.is_tail()) {

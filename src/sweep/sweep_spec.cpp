@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/fileio.hpp"
@@ -124,6 +125,10 @@ bool set_fidelity(Point& p, const std::string& v, std::string* msg) {
     long long x;                                                      \
     if (!parse_i64(v, &x)) {                                          \
       *msg = "expected an integer, got '" + v + "'";                  \
+      return false;                                                   \
+    }                                                                 \
+    if (!std::in_range<decltype(p.field)>(x)) {                       \
+      *msg = "value " + v + " is out of range";                       \
       return false;                                                   \
     }                                                                 \
     p.field = static_cast<decltype(p.field)>(x);                      \

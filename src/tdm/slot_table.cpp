@@ -14,15 +14,30 @@ bool is_pow2(int v) { return v > 0 && (v & (v - 1)) == 0; }
 SlotTable::SlotTable(int capacity, int active)
     : capacity_(capacity), active_(active) {
   HN_CHECK(is_pow2(capacity) && is_pow2(active) && active <= capacity);
-  for (auto& column : entries_) column.resize(static_cast<size_t>(capacity));
-  out_mask_.assign(static_cast<size_t>(capacity), 0);
+}
+
+std::vector<SlotTable::Entry>& SlotTable::column(Port in) {
+  auto& col = entries_[static_cast<size_t>(in)];
+  if (col.empty()) {
+    col.resize(static_cast<size_t>(capacity_));
+    if (out_mask_.empty()) out_mask_.assign(static_cast<size_t>(capacity_), 0);
+  }
+  return col;
+}
+
+std::size_t SlotTable::storage_bytes() const {
+  std::size_t bytes = out_mask_.capacity() * sizeof(std::uint8_t);
+  for (const auto& col : entries_) bytes += col.capacity() * sizeof(Entry);
+  return bytes;
 }
 
 bool SlotTable::can_reserve(int slot, int duration, Port in, Port out) const {
   HN_CHECK(duration >= 1 && duration <= active_);
+  if (out_mask_.empty()) return true;  // no column allocated: all invalid
+  const bool in_used = valid_by_port_[static_cast<size_t>(in)] != 0;
   for (int d = 0; d < duration; ++d) {
     const int s = wrap(slot + d);
-    if (at(s, in).valid) return false;  // input conflict (Fig 1, setup 2)
+    if (in_used && at(s, in).valid) return false;  // input conflict (Fig 1, setup 2)
     // Output conflict (setup 3). `in` itself holds nothing at s (checked
     // above), so a set bit always belongs to another input.
     if (out_mask_[static_cast<size_t>(s)] & out_bit(out)) return false;
@@ -33,9 +48,10 @@ bool SlotTable::can_reserve(int slot, int duration, Port in, Port out) const {
 bool SlotTable::reserve(int slot, int duration, Port in, Port out,
                         PacketId owner, Cycle now) {
   if (!can_reserve(slot, duration, in, out)) return false;
+  std::vector<Entry>& col = column(in);
   for (int d = 0; d < duration; ++d) {
     const int s = wrap(slot + d);
-    Entry& e = at(s, in);
+    Entry& e = col[static_cast<size_t>(s)];
     e.valid = true;
     e.out = out;
     e.owner = owner;
@@ -50,6 +66,7 @@ bool SlotTable::reserve(int slot, int duration, Port in, Port out,
 std::optional<Port> SlotTable::release(int slot, int duration, Port in,
                                        PacketId owner) {
   std::optional<Port> first_out;
+  if (valid_by_port_[static_cast<size_t>(in)] == 0) return first_out;
   for (int d = 0; d < duration; ++d) {
     const int s = wrap(slot + d);
     Entry& e = at(s, in);
@@ -66,18 +83,21 @@ std::optional<Port> SlotTable::lookup(Cycle cycle, Port in) const {
 }
 
 std::optional<Port> SlotTable::lookup_slot(int slot, Port in) const {
+  if (valid_by_port_[static_cast<size_t>(in)] == 0) return std::nullopt;
   const Entry& e = at(wrap(slot), in);
   if (!e.valid) return std::nullopt;
   return e.out;
 }
 
 std::optional<PacketId> SlotTable::owner_at(int slot, Port in) const {
+  if (valid_by_port_[static_cast<size_t>(in)] == 0) return std::nullopt;
   const Entry& e = at(wrap(slot), in);
   if (!e.valid) return std::nullopt;
   return e.owner;
 }
 
 void SlotTable::refresh(int slot, int count, Port in, Cycle now) {
+  if (valid_by_port_[static_cast<size_t>(in)] == 0) return;
   for (int d = 0; d < count; ++d) {
     const int s = wrap(slot + d);
     Entry& e = at(s, in);
@@ -89,7 +109,7 @@ void SlotTable::refresh(int slot, int count, Port in, Cycle now) {
 
 std::optional<Port> SlotTable::output_reserved_at(Cycle cycle, Port out) const {
   const int s = slot_of(cycle);
-  if (!(out_mask_[static_cast<size_t>(s)] & out_bit(out))) return std::nullopt;
+  if (!(mask_at(s) & out_bit(out))) return std::nullopt;
   for (int j = 0; j < kNumPorts; ++j) {
     if (valid_by_port_[static_cast<size_t>(j)] == 0) continue;
     const Entry& e = at(s, static_cast<Port>(j));
@@ -112,8 +132,8 @@ bool SlotTable::input_free(int slot, int duration, Port in) const {
 }
 
 void SlotTable::reset() {
-  for (auto& column : entries_) {
-    for (auto& e : column) {
+  for (auto& col : entries_) {
+    for (auto& e : col) {
       e.valid = false;
       e.bucket = kNoExpiryBucket;
     }
@@ -127,8 +147,8 @@ void SlotTable::set_expiry_tracking(bool on) {
   if (track_expiry_ == on) return;
   track_expiry_ = on;
   for (auto& buckets : expiry_buckets_) buckets.clear();
-  for (auto& column : entries_) {
-    for (auto& e : column) e.bucket = kNoExpiryBucket;
+  for (auto& col : entries_) {
+    for (auto& e : col) e.bucket = kNoExpiryBucket;
   }
   if (!on) return;
   for (int j = 0; j < kNumPorts; ++j) {
@@ -160,7 +180,9 @@ void SlotTable::save_state(StateWriter& w) const {
   w.b(track_expiry_);
   for (int j = 0; j < kNumPorts; ++j) {
     const Port in = static_cast<Port>(j);
-    w.i32(valid_by_port_[static_cast<size_t>(j)]);
+    const int valid = valid_by_port_[static_cast<size_t>(j)];
+    w.i32(valid);
+    if (valid == 0) continue;  // possibly unallocated column
     for (int s = 0; s < active_; ++s) {
       const Entry& e = at(s, in);
       if (!e.valid) continue;
@@ -192,10 +214,12 @@ void SlotTable::restore_state(StateReader& r) {
     if (valid < 0 || valid > active) {
       throw StateError("slot-table valid count out of range");
     }
+    if (valid == 0) continue;  // leave an unallocated column unallocated
+    std::vector<Entry>& col = column(in);
     for (int n = 0; n < valid; ++n) {
       const int s = r.i32();
       if (s < 0 || s >= active) throw StateError("slot index out of range");
-      Entry& e = at(s, in);
+      Entry& e = col[static_cast<size_t>(s)];
       if (e.valid) throw StateError("duplicate slot entry");
       e.valid = true;
       e.out = static_cast<Port>(r.u8());

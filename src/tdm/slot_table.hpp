@@ -27,6 +27,12 @@
 // the periodic sweeps into five integer reads instead of a walk over the
 // dense active x kNumPorts array.
 //
+// Columns are allocated on first write. A port's column (capacity entries)
+// and the per-slot output mask stay empty until a reservation or a restored
+// entry lands there; until then every read answers "invalid". Most routers
+// never hold a circuit, and at 256 slots five eager columns cost 40 KB per
+// router, which at 32x32 spreads each router's hot state across the heap.
+//
 // Section II-C's dynamic time-division granularity is supported through the
 // active size: only the first `active` entries participate (arithmetic is
 // modulo `active`); the rest are power-gated. Growing the active size resets
@@ -35,6 +41,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -170,6 +177,10 @@ class SlotTable {
     return valid_by_port_[static_cast<size_t>(in)];
   }
 
+  /// Bytes held by the entry columns and the output mask (0 until the first
+  /// write; see the header comment).
+  std::size_t storage_bytes() const;
+
   /// True if all entries [slot, slot+duration) for `in` are invalid —
   /// the NI-side pre-check before proposing a slot id for a setup.
   bool input_free(int slot, int duration, Port in) const;
@@ -213,7 +224,14 @@ class SlotTable {
   const Entry& at(int slot, Port in) const {
     return entries_[static_cast<size_t>(in)][static_cast<size_t>(slot)];
   }
+  /// The column of `in`, allocated on first use. Only writers call this;
+  /// readers check valid_by_port_ first, which is 0 for an empty column.
+  std::vector<Entry>& column(Port in);
   int wrap(int slot) const { return slot & (active_ - 1); }
+  /// Outputs reserved at slot `s` (0 while the mask is unallocated).
+  std::uint8_t mask_at(int s) const {
+    return out_mask_.empty() ? std::uint8_t{0} : out_mask_[static_cast<size_t>(s)];
+  }
   static std::uint8_t out_bit(Port out) {
     return static_cast<std::uint8_t>(1u << static_cast<unsigned>(out));
   }
@@ -236,12 +254,13 @@ class SlotTable {
 
   int capacity_;
   int active_;
-  /// One entry column per input port, each `capacity` slots long.
+  /// One entry column per input port: empty, or `capacity` slots long.
   std::array<std::vector<Entry>, kNumPorts> entries_;
   std::array<int, kNumPorts> valid_by_port_{};
   /// Per slot: bit o set <=> some input's valid entry there holds output o
   /// (at most one can, see can_reserve). Makes the output-conflict check
   /// and the common "output free" answer of output_reserved_at one bit test.
+  /// Empty (every mask 0) until the first column is allocated.
   std::vector<std::uint8_t> out_mask_;
   bool track_expiry_ = true;
   /// Per input port: stamp bucket -> slot indices, lazily validated.

@@ -169,6 +169,43 @@ TEST(Network, HighLoadDoesNotViolateInvariants) {
   EXPECT_EQ(net.total_data_delivered(), net.total_data_sent());
 }
 
+// Flits carry their VC in 8 bits. At the largest legal VC count the top VC
+// must be allocated on some link, and every packet must still arrive.
+TEST(Network, MaxVcCountUsesTopVcAndDelivers) {
+  NocConfig cfg = NocConfig::packet_vc4(4);
+  cfg.num_vcs = 32;
+  cfg.vc_power_gating = false;  // keep every VC active
+  Network net(cfg);
+  std::uint64_t delivered = 0;
+  net.set_deliver_handler([&](const PacketPtr&, Cycle) { ++delivered; });
+  const int top_vc = cfg.num_vcs - 1;
+  bool top_vc_used = false;
+  Rng rng(31);
+  PacketId id = 1;
+  std::uint64_t injected = 0;
+  for (int cycle = 0; cycle < 2000; ++cycle) {
+    for (NodeId s = 0; s < net.num_nodes(); ++s) {
+      if (!rng.bernoulli(0.15)) continue;
+      const NodeId d = static_cast<NodeId>(
+          rng.uniform_int(static_cast<std::uint64_t>(net.num_nodes())));
+      if (d == s) continue;
+      net.ni(s).send(make_data(id++, s, d, 5), net.now());
+      ++injected;
+    }
+    net.tick();
+    for (NodeId r = 0; r < net.num_nodes() && !top_vc_used; ++r) {
+      for (int p = 0; p < kNumPorts; ++p) {
+        top_vc_used |= net.router(r).holds_vc_allocation(static_cast<Port>(p), top_vc);
+      }
+    }
+  }
+  for (int i = 0; i < 20000 && !net.quiescent(); ++i) net.tick();
+  EXPECT_TRUE(net.quiescent());
+  EXPECT_TRUE(top_vc_used);
+  EXPECT_GT(injected, 1000u);
+  EXPECT_EQ(delivered, injected);
+}
+
 TEST(Network, EnergyCountersAccumulate) {
   Network net(NocConfig::packet_vc4(4));
   net.ni(0).send(make_data(1, 0, 15, 5), 0);

@@ -31,7 +31,7 @@ Flit make_flit(const PacketPtr& pkt, int seq, int vc) {
   Flit f;
   f.pkt = pkt.get();  // tests keep the PacketPtr alive for the run
   f.seq = seq;
-  f.vc = vc;
+  f.vc = static_cast<std::int8_t>(vc);
   if (pkt->num_flits == 1) {
     f.type = FlitType::HeadTail;
   } else if (seq == 0) {

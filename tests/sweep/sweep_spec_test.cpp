@@ -113,6 +113,33 @@ TEST(SweepSpecErrors, InvalidPointIsStructured) {
   EXPECT_NE(err.message.find("invalid"), std::string::npos);
 }
 
+// More VCs than the routers' 32-bit VC masks hold used to pass validation
+// and abort the run at router construction.
+TEST(SweepSpecErrors, TooManyVcsIsStructured) {
+  SweepSpec spec;
+  SpecError err;
+  EXPECT_TRUE(parse_sweep_spec("set num_vcs = 32\n", &spec, &err)) << err.to_string();
+  EXPECT_FALSE(parse_sweep_spec("set num_vcs = 33\n", &spec, &err));
+  EXPECT_NE(err.message.find("invalid"), std::string::npos);
+  EXPECT_NE(err.message.find("num_vcs"), std::string::npos);
+}
+
+// Integer values must fit the field they set: no silent truncation into an
+// int, no wrap-around of a negative value into an unsigned field.
+TEST(SweepSpecErrors, IntegerOutOfFieldRangeNamesKey) {
+  SweepSpec spec;
+  SpecError err;
+  EXPECT_FALSE(parse_sweep_spec("set num_vcs = 4294967300\n", &spec, &err));
+  EXPECT_EQ(err.line, 1);
+  EXPECT_NE(err.message.find("num_vcs"), std::string::npos);
+  EXPECT_NE(err.message.find("out of range"), std::string::npos);
+
+  EXPECT_FALSE(parse_sweep_spec("set rate = 0.1\nset seed = -1\n", &spec, &err));
+  EXPECT_EQ(err.line, 2);
+  EXPECT_NE(err.message.find("seed"), std::string::npos);
+  EXPECT_NE(err.message.find("out of range"), std::string::npos);
+}
+
 TEST(SweepSpecErrors, ExpansionLimit) {
   std::string text;
   // 8 axes x 10 values = 10^8 points: far past the limit.

@@ -323,6 +323,34 @@ TEST(HybridNetwork, StealingDisabledStillConserves) {
   EXPECT_EQ(delivered, injected);
 }
 
+// Slot-table columns are allocated on first reservation, so a large TDM mesh
+// carrying only packet-switched traffic holds no slot-table storage at all.
+TEST(HybridNetwork, PacketOnlyLoadAllocatesNoSlotTableStorage) {
+  NocConfig cfg = NocConfig::hybrid_tdm_vc4(32);
+  cfg.path_freq_threshold = 1 << 20;  // no pair ever qualifies for a circuit
+  HybridNetwork net(cfg);
+  Rng rng(5);
+  PacketId id = 1;
+  std::uint64_t delivered = 0;
+  net.set_deliver_handler([&](const PacketPtr&, Cycle) { ++delivered; });
+  for (int cycle = 0; cycle < 300; ++cycle) {
+    for (NodeId s = 0; s < net.num_nodes(); ++s) {
+      if (!rng.bernoulli(0.02)) continue;
+      const NodeId d = static_cast<NodeId>(
+          rng.uniform_int(static_cast<std::uint64_t>(net.num_nodes())));
+      if (d == s) continue;
+      net.ni(s).send(make_data(id++, s, d), net.now());
+    }
+    net.tick();
+  }
+  EXPECT_GT(delivered, 0u);
+  std::size_t slot_bytes = 0;
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    slot_bytes += net.hybrid_router(n).slots().storage_bytes();
+  }
+  EXPECT_EQ(slot_bytes, 0u);
+}
+
 TEST(HybridNetwork, HybridEnergyIncludesCsComponents) {
   HybridNetwork net(test_cfg());
   PacketId id = 1;

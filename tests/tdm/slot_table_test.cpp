@@ -212,6 +212,11 @@ TEST(SlotTable, OutputIndexMatchesBruteForceUnderRandomOps) {
     Rng rng(seed);
     SlotTable t(32, 8);
     t.set_expiry_tracking(seed % 2 == 0);
+    // The walk starts from unallocated columns: the first operations of
+    // every kind run against the empty-storage read path.
+    ASSERT_EQ(t.storage_bytes(), 0u);
+    expect_matches_brute_force(t, rng, -1);
+    if (HasFatalFailure()) return;
     std::vector<PacketId> owners;  // setup ids ever used, for fenced releases
     PacketId next_owner = 1;
     Cycle now = 0;
@@ -254,6 +259,86 @@ TEST(SlotTable, OutputIndexMatchesBruteForceUnderRandomOps) {
       if (HasFatalFailure()) return;
     }
   }
+}
+
+// Columns are allocated on first write; until then every read answers
+// "no reservation" without allocating.
+TEST(SlotTableLazy, FreshTableAnswersReadsWithoutStorage) {
+  SlotTable t(256, 256);
+  EXPECT_EQ(t.storage_bytes(), 0u);
+  for (int j = 0; j < kNumPorts; ++j) {
+    const Port p = static_cast<Port>(j);
+    for (int s = 0; s < t.active_size(); s += 17) {
+      EXPECT_FALSE(t.lookup(static_cast<Cycle>(s + 1000), p));
+      EXPECT_FALSE(t.lookup_slot(s, p));
+      EXPECT_FALSE(t.owner_at(s, p));
+      EXPECT_FALSE(t.output_reserved_at(static_cast<Cycle>(s), p));
+      EXPECT_TRUE(t.input_free(s, 8, p));
+      EXPECT_TRUE(t.can_reserve(s, 8, p, Port::East));
+    }
+    EXPECT_EQ(t.valid_entries(p), 0);
+  }
+  EXPECT_DOUBLE_EQ(t.occupancy(), 0.0);
+  EXPECT_EQ(t.valid_entries(), 0);
+  StateWriter w;
+  t.save_state(w);
+  EXPECT_EQ(t.expire_older_than(kCycleNever, [](int, Port) {}), 0);
+  t.set_expiry_tracking(false);
+  t.set_expiry_tracking(true);
+  t.set_active_size(64);  // a reset of unallocated columns
+  EXPECT_EQ(t.storage_bytes(), 0u);
+}
+
+TEST(SlotTableLazy, ReleaseAndRefreshOnFreshTableAllocateNothing) {
+  SlotTable t(64, 64);
+  EXPECT_FALSE(t.release(0, 8, Port::West));
+  EXPECT_FALSE(t.release(60, 8, Port::North, /*owner=*/3));
+  t.refresh(0, 8, Port::West, 500);
+  t.refresh(32, 4, Port::Local, 900);
+  EXPECT_EQ(t.storage_bytes(), 0u);
+  EXPECT_EQ(t.valid_entries(), 0);
+}
+
+TEST(SlotTableLazy, EmptyRoundTripStaysUnallocated) {
+  SlotTable src(64, 16);
+  StateWriter w;
+  src.save_state(w);
+  SlotTable dst(64, 64);
+  StateReader r(w.seal());
+  dst.restore_state(r);
+  r.finish();
+  EXPECT_EQ(dst.active_size(), 16);
+  EXPECT_EQ(dst.storage_bytes(), 0u);
+  EXPECT_EQ(dst.valid_entries(), 0);
+}
+
+// The first write allocates only the written port's column (plus the
+// per-slot output mask); restore allocates exactly the ports it fills.
+TEST(SlotTableLazy, WritesAllocateOnlyTheirColumn) {
+  SlotTable t(64, 64);
+  ASSERT_TRUE(t.reserve(3, 2, Port::West, Port::East, 9, 100));
+  const std::size_t one_column = t.storage_bytes();
+  EXPECT_GT(one_column, 0u);
+  EXPECT_EQ(t.lookup_slot(4, Port::West), Port::East);
+  EXPECT_FALSE(t.lookup_slot(4, Port::North));
+  EXPECT_FALSE(t.can_reserve(4, 1, Port::North, Port::East));  // output held
+  EXPECT_TRUE(t.can_reserve(4, 1, Port::North, Port::South));
+  EXPECT_EQ(t.output_reserved_at(3, Port::East), Port::West);
+  EXPECT_EQ(t.storage_bytes(), one_column);  // reads allocate nothing
+
+  ASSERT_TRUE(t.reserve(10, 1, Port::North, Port::South));
+  const std::size_t two_columns = t.storage_bytes();
+  EXPECT_GT(two_columns, one_column);
+
+  StateWriter w;
+  t.save_state(w);
+  SlotTable restored(64, 64);
+  StateReader r(w.seal());
+  restored.restore_state(r);
+  r.finish();
+  EXPECT_EQ(restored.storage_bytes(), two_columns);
+  EXPECT_EQ(restored.owner_at(3, Port::West), PacketId{9});
+  EXPECT_EQ(restored.lookup_slot(10, Port::North), Port::South);
 }
 
 TEST(SlotTable, RestoreRejectsTwoInputsOnOneOutput) {

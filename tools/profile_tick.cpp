@@ -19,13 +19,16 @@
 // engine should show ~0 while the legacy sweep shows 2*k*k — the O(nodes)
 // per-cycle cost the run-list scheduler eliminates. ns/dispatch (wall time
 // over total dispatches) is its complement: it moves when a router or NI
-// tick gets cheaper while the dispatch count stays the same.
+// tick gets cheaper while the dispatch count stays the same. Peak RSS (and
+// that peak spread over the nodes) shows a change in per-node memory layout.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+
+#include <sys/resource.h>
 
 #include "common/config.hpp"
 #include "common/pool.hpp"
@@ -169,6 +172,13 @@ void run(Net& net, const Options& o) {
   std::printf("flight releases      %llu  (%.3f /cycle)\n",
               static_cast<unsigned long long>(p.flight_releases),
               per_cycle(p.flight_releases));
+  // Process high-water mark (Linux reports ru_maxrss in KiB), so it covers
+  // construction and every ring or table that grew during the run.
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const double peak_kb = static_cast<double>(ru.ru_maxrss);
+  std::printf("peak rss             %.1f MB  (%.1f KB/node)\n", peak_kb / 1024.0,
+              peak_kb / static_cast<double>(nodes));
 }
 
 }  // namespace
