@@ -19,6 +19,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <queue>
@@ -27,7 +28,7 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
-#include "noc/routing.hpp"
+#include "common/geometry.hpp"
 #include "tdm/slot_table.hpp"
 
 namespace hybridnoc {
@@ -59,19 +60,11 @@ struct NiState {
   double ewma = 0.0;        ///< ewma_inject_delay of the base NI
 };
 
-/// A pair's XY route: its directed-link ids are links_flat_[off, off + hops),
-/// so ps_launch reads one 8-byte record per packet.
-struct RouteRef {
-  std::uint32_t off = 0;  ///< first link, index into links_flat_
-  std::int32_t hops = 0;
-};
-
 /// Everything the model keeps per source-destination pair, created the
-/// first time the pair is used: its route and the source NI's policy state
-/// towards the destination. Only the pairs a run's traffic uses get one, so
-/// nothing n²-sized is allocated or cleared up front.
+/// first time a circuit-eligible packet or a setup uses the pair: the source
+/// NI's policy state towards the destination. Only the pairs a run's policy
+/// touches get one, so nothing n²-sized is allocated or cleared up front.
 struct Pair {
-  RouteRef rr;
   std::uint32_t freq_epoch = 0;  ///< NiState::epoch that `freq` counts in
   int freq = 0;                  ///< packets this epoch (stale epoch: 0)
   Cycle cooldown_until = 0;      ///< no setup before this (setup gave up)
@@ -86,22 +79,36 @@ struct PairSlot {
   std::uint32_t idx = kNoPair;  ///< into the pair records; kNoPair = empty
 };
 
+/// A position on an XY route: the directed link about to be crossed
+/// (id = node*4 + out-1), how many links are left including it, how many
+/// links the route runs along y, and its direction bits (kWest, kNorth).
+/// Nothing per route is stored: FastModel::route builds the first position
+/// from the endpoints' coordinates and FastModel::advance steps to the next
+/// link by a constant (±4 along x, the turn, ±4k along y).
+struct XyLeg {
+  std::uint32_t link = 0;
+  std::uint16_t remaining = 0;
+  std::uint8_t y_hops = 0;  ///< |dy| <= 255 because k <= 256
+  std::uint8_t dir = 0;
+};
+constexpr std::uint8_t kWest = 1, kNorth = 2;
+
 /// A data packet's head arriving at a router input — the next link claim
 /// happens at this event's time, so every link serves heads in true arrival
 /// order (a single-pass whole-route walk would claim capacity in injection
-/// order and systematically overstate queueing on long routes). The route's
-/// remaining links are addressed through links_flat_, one load per hop. The
-/// 16-bit fields bound the mesh to 65536 nodes and a packet to 65535 flits,
-/// both checked before a run starts.
+/// order and systematically overstate queueing on long routes). The event
+/// carries its route position, so a hop reads nothing but its own link's
+/// clock. The 16-bit fields bound the mesh to 65536 nodes and a packet to
+/// 65535 flits, both checked before a run starts.
 struct HopEvent {
-  std::uint32_t link_idx = 0;  ///< current link, index into links_flat_
-  std::uint16_t remaining = 0; ///< links left to cross, including this one
-  std::uint16_t dst = 0;       ///< destination node (ejection server)
+  XyLeg at;                    ///< current link and the rest of the route
   std::uint32_t created = 0;   ///< creation cycle; 32 bits keeps the event
-                               ///< small (~6M live copies per run, the
-                               ///< model checks max_cycles fits at startup)
+                               ///< small (the model checks max_cycles fits
+                               ///< at startup)
+  std::uint16_t dst = 0;       ///< destination node (ejection server)
   std::uint16_t flits = 0;     ///< packet length (trace-driven runs vary it)
 };
+static_assert(sizeof(HopEvent) == 16, "hop events are copied per hop");
 
 /// A finished transfer awaiting delivery bookkeeping: when it was created
 /// (latency) and the payload flits it carried (accepted-rate accounting —
@@ -118,6 +125,11 @@ struct Delivery {
 /// push/pop O(1) where a binary heap pays log(n) pointer-chasing per event —
 /// the heaps dominated the fast model's profile. Times beyond the ring's
 /// horizon (deep-backlog schedules) spill into a small overflow heap.
+///
+/// Buffers follow the live events, not the ring: consume() hands each
+/// emptied bucket's buffer to a spare stack and the next bucket that
+/// receives a push while holding none takes it. Only the few cycles with
+/// pending events keep memory, instead of every bucket its peak capacity.
 ///
 /// The cursor only moves forward: push times must be strictly greater than
 /// the last time handed out by next_at(), which the simulation guarantees
@@ -136,9 +148,14 @@ class Calendar {
     ++size_;
     if (at - cursor_ >= kSize) {
       over_.push(Far{at, over_seq_++, v});
-    } else {
-      buckets_[at & kMask].push_back(v);
+      return;
     }
+    std::vector<T>& b = buckets_[at & kMask];
+    if (b.capacity() == 0 && !spare_.empty()) {
+      b = std::move(spare_.back());
+      spare_.pop_back();
+    }
+    b.push_back(v);
   }
 
   /// Earliest event time in [cursor, limit], or kCycleNever when there is
@@ -179,7 +196,10 @@ class Calendar {
     auto& b = buckets_[t & kMask];
     size_ -= b.size();
     for (size_t i = 0; i < b.size(); ++i) f(b[i]);
-    b.clear();
+    if (b.capacity() != 0) {
+      b.clear();
+      spare_.push_back(std::move(b));  // leaves b empty, holding no buffer
+    }
     while (!over_.empty() && over_.top().at == t) {
       const T v = over_.top().v;
       over_.pop();
@@ -200,6 +220,7 @@ class Calendar {
     }
   };
   std::vector<std::vector<T>> buckets_;
+  std::vector<std::vector<T>> spare_;  ///< emptied buffers, see push()
   std::priority_queue<Far> over_;
   std::uint64_t over_seq_ = 0;
   Cycle cursor_ = 0;
@@ -228,7 +249,23 @@ class FastModel {
                  "fast model packs node ids into 16 bits (k <= 256)");
     HN_CHECK_MSG(fps_ <= 0xffff,
                  "fast model packs packet lengths into 16 bits");
-    links_flat_.reserve(1024);
+    coords_.resize(static_cast<size_t>(n_));
+    for (NodeId v = 0; v < n_; ++v) {
+      const Coord c = mesh_.coord(v);
+      coords_[static_cast<size_t>(v)] = {static_cast<std::uint8_t>(c.x),
+                                         static_cast<std::uint8_t>(c.y)};
+    }
+    // advance()'s steps, indexed [dir][step_index]: the next link leaves
+    // the router the current one enters, by the same port along a leg and
+    // by the y port at the turn.
+    for (std::uint8_t dir = 0; dir < 4; ++dir) {
+      const int dx = dir & kWest ? -1 : 1;
+      const int dy = dir & kNorth ? -cfg.k : cfg.k;
+      const int turn = 4 * dx + y_port_offset(dir) - x_port_offset(dir);
+      step_[dir] = {static_cast<std::uint32_t>(4 * dy),
+                    static_cast<std::uint32_t>(turn),
+                    static_cast<std::uint32_t>(4 * dx)};
+    }
     ni_free_.assign(static_cast<size_t>(n_), 0);
     eject_free_.assign(static_cast<size_t>(n_), 0);
     link_free_.assign(static_cast<size_t>(n_) * 4, 0);
@@ -366,13 +403,48 @@ class FastModel {
 
   // --- topology helpers ---------------------------------------------------
 
-  static int link_id(NodeId node, Port out) {
-    return static_cast<int>(node) * 4 + (static_cast<int>(out) - 1);
+  /// The router a link leaves and the port it leaves by.
+  static NodeId link_router(std::uint32_t link) {
+    return static_cast<NodeId>(link >> 2);
+  }
+  static Port link_port(std::uint32_t link) {
+    return static_cast<Port>((link & 3) + 1);
   }
 
-  /// Inverse of link_id: the router a link leaves and the port it leaves by.
-  static NodeId link_router(int link) { return link / 4; }
-  static Port link_port(int link) { return static_cast<Port>(link % 4 + 1); }
+  /// out-1 of a route's x port (East or West) and y port (South or North).
+  static int x_port_offset(std::uint8_t dir) {
+    return (dir & kWest ? static_cast<int>(Port::West)
+                        : static_cast<int>(Port::East)) - 1;
+  }
+  static int y_port_offset(std::uint8_t dir) {
+    return (dir & kNorth ? static_cast<int>(Port::North)
+                         : static_cast<int>(Port::South)) - 1;
+  }
+
+  /// The XY route from src to dst, positioned on its first link (route_xy's
+  /// path: x first, then y). A self-route has no links.
+  XyLeg route(NodeId src, NodeId dst) const {
+    const NodeXy s = coords_[static_cast<size_t>(src)];
+    const NodeXy d = coords_[static_cast<size_t>(dst)];
+    const int dx = d.x - s.x, dy = d.y - s.y;
+    const int ax = std::abs(dx), ay = std::abs(dy);
+    const auto dir = static_cast<std::uint8_t>((dx < 0 ? kWest : 0) |
+                                               (dy < 0 ? kNorth : 0));
+    const int first = ax != 0 ? x_port_offset(dir) : y_port_offset(dir);
+    return XyLeg{static_cast<std::uint32_t>(src) * 4 +
+                     static_cast<std::uint32_t>(first),
+                 static_cast<std::uint16_t>(ax + ay),
+                 static_cast<std::uint8_t>(ay), dir};
+  }
+
+  /// Step `leg` onto its next link. The step index is 2 along x, 1 at the
+  /// turn (the next link is the first of the y_hops) and 0 along y; steps
+  /// are unsigned so a step past the last link wraps instead of overflowing.
+  void advance(XyLeg& leg) const {
+    const int r = leg.remaining, y = leg.y_hops;
+    leg.link += step_[leg.dir][static_cast<size_t>((r > y) + (r - 1 > y))];
+    --leg.remaining;
+  }
 
   // --- per-pair records ---------------------------------------------------
 
@@ -386,20 +458,18 @@ class FastModel {
     const size_t mask = pair_slots_.size() - 1;
     for (size_t i = pair_hash(key);; i = (i + 1) & mask) {
       const PairSlot& s = pair_slots_[i];
-      if (s.idx == kNoPair) return new_pair(key, src, dst);
+      if (s.idx == kNoPair) return new_pair(key);
       if (s.key == key) return pairs_[s.idx];
     }
   }
-
-  RouteRef route(NodeId src, NodeId dst) { return pair(src, dst).rr; }
 
   size_t pair_hash(std::uint32_t key) const {
     return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> pair_shift_);
   }
 
-  /// Append pair (src, dst) with its route unrolled from route_xy onto the
-  /// end of links_flat_; the index doubles before it passes half load.
-  Pair& new_pair(std::uint32_t key, NodeId src, NodeId dst) {
+  /// Append a fresh record under `key`; the index doubles before it passes
+  /// half load.
+  Pair& new_pair(std::uint32_t key) {
     if (2 * (pairs_.size() + 1) > pair_slots_.size()) {
       const std::vector<PairSlot> old = std::exchange(
           pair_slots_, std::vector<PairSlot>(2 * pair_slots_.size()));
@@ -408,15 +478,7 @@ class FastModel {
         if (s.idx != kNoPair) place_pair(s);
     }
     place_pair(PairSlot{key, static_cast<std::uint32_t>(pairs_.size())});
-    Pair& p = pairs_.emplace_back();
-    p.rr.off = static_cast<std::uint32_t>(links_flat_.size());
-    for (NodeId here = src;;) {
-      const Port out = route_xy(mesh_, here, dst);
-      if (out == Port::Local) return p;
-      links_flat_.push_back(link_id(here, out));
-      ++p.rr.hops;
-      here = mesh_.neighbor(here, out);
-    }
+    return pairs_.emplace_back();
   }
 
   void place_pair(PairSlot s) {
@@ -438,10 +500,6 @@ class FastModel {
     return *t;
   }
 
-  int link(RouteRef rr, int i) const {
-    return links_flat_[rr.off + static_cast<std::uint32_t>(i)];
-  }
-
   /// Router i of a route (0 = source, hops = destination) with the input
   /// and output ports the cycle core's setup walk passes to
   /// SlotTable::reserve, decoded from the link ids: link i leaves router i,
@@ -450,12 +508,25 @@ class FastModel {
     NodeId router;
     Port in, out;
   };
-  RouteHop route_hop(RouteRef rr, NodeId dst, int i) const {
-    const Port in =
-        i == 0 ? Port::Local : opposite(link_port(link(rr, i - 1)));
-    if (i == rr.hops) return {dst, in, Port::Local};
-    const int l = link(rr, i);
-    return {link_router(l), in, link_port(l)};
+
+  /// Call f(i, hop) for routers i = 0, 1, ... of the route src -> dst, at
+  /// most `count` of them, until f returns false. Returns the index f
+  /// stopped at, or -1 when it never did.
+  template <typename F>
+  int walk_routers(NodeId src, NodeId dst, int count, F&& f) const {
+    XyLeg leg = route(src, dst);
+    const int hops = leg.remaining;
+    Port in = Port::Local;
+    for (int i = 0; i < count; ++i) {
+      RouteHop hop{dst, in, Port::Local};
+      if (i < hops) {
+        hop = {link_router(leg.link), in, link_port(leg.link)};
+        in = opposite(hop.out);
+        advance(leg);
+      }
+      if (!f(i, hop)) return i;
+    }
+    return -1;
   }
 
   /// Rng::geometric with the 1/log1p(-p) factor hoisted out of the loop —
@@ -550,13 +621,13 @@ class FastModel {
 
   // --- packet-switched transfers ------------------------------------------
 
-  Cycle link_service(int link, int flits) const {
+  Cycle link_service(std::uint32_t link, int flits) const {
     if (!tdm_ || cfg_.time_slot_stealing) return static_cast<Cycle>(flits);
     // Without time-slot stealing, reserved slots are lost to packet-switched
     // traffic even when idle: the link serves PS flits at (S - reserved)/S
     // of its bandwidth.
     const int res =
-        std::min(reserved_on_link_[static_cast<size_t>(link)], slots_ - 1);
+        std::min(reserved_on_link_[link], slots_ - 1);
     const double scale =
         static_cast<double>(slots_) / static_cast<double>(slots_ - res);
     return static_cast<Cycle>(
@@ -587,28 +658,28 @@ class FastModel {
   /// claims are a harmless simplification here; data packets go hop by hop
   /// instead.
   Cycle send_config(NodeId src, NodeId dst, Cycle t) {
-    const RouteRef rr = route(src, dst);
+    XyLeg leg = route(src, dst);
+    const int hops = leg.remaining;
     const int flits = cfg_.config_flits;
     const Cycle head = std::max(t, ni_free_[static_cast<size_t>(src)]);
     ni_free_[static_cast<size_t>(src)] = head + static_cast<Cycle>(flits);
     Cycle arr = head + 2;  // injection channel
-    for (int i = 0; i < rr.hops; ++i) {
-      const int l = link(rr, i);
-      const Cycle depart =
-          std::max(arr + 3, link_free_[static_cast<size_t>(l)]);
-      link_free_[static_cast<size_t>(l)] = depart + link_service(l, flits);
+    for (int i = 0; i < hops; ++i, advance(leg)) {
+      const std::uint32_t l = leg.link;
+      const Cycle depart = std::max(arr + 3, link_free_[l]);
+      link_free_[l] = depart + link_service(l, flits);
       arr = depart + 2;
     }
     const Cycle ej = std::max(arr + 3, eject_free_[static_cast<size_t>(dst)]);
     eject_free_[static_cast<size_t>(dst)] = ej + static_cast<Cycle>(flits);
-    ps_energy(rr.hops, flits, /*is_data=*/false);
+    ps_energy(hops, flits, /*is_data=*/false);
     return ej + 2 + static_cast<Cycle>(flits - 1);
   }
 
-  /// Launch one data packet over route `rr`: serialize at the source NI,
+  /// Launch one data packet from src to dst: serialize at the source NI,
   /// then walk the route hop by hop via HopEvents so links serve heads in
   /// arrival order.
-  void ps_launch(NodeId src, NodeId dst, RouteRef rr, Cycle t, int flits) {
+  void ps_launch(NodeId src, NodeId dst, Cycle t, int flits) {
     const Cycle head = std::max(t, ni_free_[static_cast<size_t>(src)]);
     ni_free_[static_cast<size_t>(src)] = head + static_cast<Cycle>(flits);
     if (tdm_) {
@@ -617,11 +688,10 @@ class FastModel {
       NiState& st = ni_[static_cast<size_t>(src)];
       st.ewma = 0.9 * st.ewma + 0.1 * static_cast<double>(head - t);
     }
-    ps_energy(rr.hops, flits, /*is_data=*/true);
-    const HopEvent ev{rr.off, static_cast<std::uint16_t>(rr.hops),
+    const HopEvent ev{route(src, dst), static_cast<std::uint32_t>(t),
                       static_cast<std::uint16_t>(dst),
-                      static_cast<std::uint32_t>(t),
                       static_cast<std::uint16_t>(flits)};
+    ps_energy(ev.at.remaining, flits, /*is_data=*/true);
     if (head == t) {
       // NI idle: the head reaches its first router two cycles from now with
       // nothing able to overtake it in between — claim in place and save the
@@ -635,22 +705,20 @@ class FastModel {
   }
 
   void process_hop(Cycle at, const HopEvent& h) {
-    const int l = links_flat_[h.link_idx];
+    const std::uint32_t l = h.at.link;
     const Cycle ready = at + 3;
-    const Cycle free = link_free_[static_cast<size_t>(l)];
+    const Cycle free = link_free_[l];
     const Cycle depart = ready < free ? free : ready;
     // The +1 is a switch-turnaround bubble: the cycle core's allocator
     // leaves at least one idle cycle between consecutive packets on a link
     // (the next head re-arbitrates after the previous tail). It only delays
     // followers, so zero-load latency is untouched, and it supplies the
     // congestion spread a pure serialisation model otherwise understates.
-    link_free_[static_cast<size_t>(l)] =
-        depart + link_service(l, h.flits) + 1;
-    if (h.remaining > 1) {
-      hops_.push(depart + 2,
-                 HopEvent{h.link_idx + 1,
-                          static_cast<std::uint16_t>(h.remaining - 1), h.dst,
-                          h.created, h.flits});
+    link_free_[l] = depart + link_service(l, h.flits) + 1;
+    if (h.at.remaining > 1) {
+      HopEvent next = h;
+      advance(next.at);
+      hops_.push(depart + 2, next);
       return;
     }
     // Arrived at the destination router: pipeline, ejection channel, tail.
@@ -670,44 +738,53 @@ class FastModel {
       return;
     st.epoch_start = t;
     ++st.epoch;  // every pair's freq count restarts from zero
-    // Retire connections idle beyond the timeout (HybridNi::epoch_tick).
-    std::vector<NodeId> idle;
-    for (const auto& [dst, conn] : st.conns) {
-      if (t > conn.last_used && t - conn.last_used > cfg_.path_idle_timeout)
-        idle.push_back(dst);
+    // Retire connections idle beyond the timeout (HybridNi::epoch_tick),
+    // in destination order.
+    for (auto it = st.conns.begin(); it != st.conns.end();) {
+      const Cycle last = it->second.last_used;
+      if (t > last && t - last > cfg_.path_idle_timeout) {
+        it = teardown_connection(v, it, t);
+      } else {
+        ++it;
+      }
     }
-    for (const NodeId dst : idle) teardown_connection(v, dst, t);
   }
 
   /// Without time-slot stealing a circuit's reserved slots are lost to
   /// packet-switched traffic on every link it crosses (see link_service).
-  void reserve_links(RouteRef rr, int slots) {
+  void reserve_links(NodeId src, NodeId dst, int slots) {
     if (cfg_.time_slot_stealing) return;
-    for (int i = 0; i < rr.hops; ++i)
-      reserved_on_link_[static_cast<size_t>(link(rr, i))] += slots;
+    for (XyLeg leg = route(src, dst); leg.remaining > 0; advance(leg))
+      reserved_on_link_[leg.link] += slots;
+  }
+
+  /// Release the slot-table entries of the first `routers` routers of one
+  /// window's (or a failed setup's) walk, starting at `slot`.
+  void release_prefix(NodeId src, NodeId dst, int routers, int slot,
+                      PacketId owner) {
+    const int mask = slots_ - 1;
+    walk_routers(src, dst, routers, [&](int i, const RouteHop& hop) {
+      table(hop.router).release((slot + 2 * i) & mask, dur_, hop.in, owner);
+      dyn_.slot_table_writes += static_cast<std::uint64_t>(dur_);
+      return true;
+    });
   }
 
   void release_window(NodeId src, NodeId dst, const Window& w) {
-    const RouteRef rr = route(src, dst);
-    const int mask = slots_ - 1;
-    for (int i = 0; i <= rr.hops; ++i) {
-      const RouteHop hop = route_hop(rr, dst, i);
-      table(hop.router).release((w.slot + 2 * i) & mask, dur_, hop.in,
-                                w.owner);
-      dyn_.slot_table_writes += static_cast<std::uint64_t>(dur_);
-    }
-    reserve_links(rr, -dur_);
+    release_prefix(src, dst, route(src, dst).remaining + 1, w.slot, w.owner);
+    reserve_links(src, dst, -dur_);
   }
 
-  void teardown_connection(NodeId src, NodeId dst, Cycle t) {
-    NiState& st = ni_[static_cast<size_t>(src)];
-    const auto it = st.conns.find(dst);
-    if (it == st.conns.end()) return;
+  /// Tear down src's connection `it` (one teardown message per window) and
+  /// return the connection after it.
+  std::map<NodeId, Conn>::iterator teardown_connection(
+      NodeId src, std::map<NodeId, Conn>::iterator it, Cycle t) {
+    const NodeId dst = it->first;
     for (const Window& w : it->second.windows) {
       release_window(src, dst, w);
       send_config(src, dst, t);
     }
-    st.conns.erase(it);
+    return ni_[static_cast<size_t>(src)].conns.erase(it);
   }
 
   /// HybridNi::choose_setup_slot: a fallback draw, then up to 8 candidates
@@ -736,26 +813,27 @@ class FastModel {
   /// setup/nack/teardown config messages, and retry with a different slot.
   void do_setup(NodeId src, NodeId dst, Cycle t) {
     NiState& st = ni_[static_cast<size_t>(src)];
-    const RouteRef rr = route(src, dst);
+    const int routers = route(src, dst).remaining + 1;
     const int mask = slots_ - 1;
     int avoid = -1;
     for (int retry = 0; retry <= cfg_.max_setup_retries; ++retry) {
       const int slot0 = choose_slot(src, avoid);
       const PacketId owner = next_owner_id_++;
-      int fail_at = -1;
-      for (int i = 0; i <= rr.hops; ++i) {
-        const RouteHop hop = route_hop(rr, dst, i);
-        SlotTable& tab = table(hop.router);
-        const int s = (slot0 + 2 * i) & mask;
-        if (tab.occupancy() >= cfg_.reservation_threshold ||
-            !tab.reserve(s, dur_, hop.in, hop.out, owner, t)) {
-          fail_at = i;
-          break;
-        }
-        dyn_.slot_table_writes += static_cast<std::uint64_t>(dur_);
-      }
+      NodeId fail_node = src;
+      const int fail_at = walk_routers(
+          src, dst, routers, [&](int i, const RouteHop& hop) {
+            SlotTable& tab = table(hop.router);
+            const int s = (slot0 + 2 * i) & mask;
+            if (tab.occupancy() >= cfg_.reservation_threshold ||
+                !tab.reserve(s, dur_, hop.in, hop.out, owner, t)) {
+              fail_node = hop.router;
+              return false;
+            }
+            dyn_.slot_table_writes += static_cast<std::uint64_t>(dur_);
+            return true;
+          });
       if (fail_at < 0) {
-        reserve_links(rr, dur_);
+        reserve_links(src, dst, dur_);
         // Setup rides to the destination, the ack rides back; the window
         // exists once the ack arrives.
         const Cycle d2 = send_config(dst, src, send_config(src, dst, t));
@@ -768,14 +846,8 @@ class FastModel {
       // Release the reserved prefix and account the partial setup, the
       // failure ack, and the prefix teardown (three config messages; none
       // when the source's own table refused).
-      for (int i = 0; i < fail_at; ++i) {
-        const RouteHop hop = route_hop(rr, dst, i);
-        table(hop.router).release((slot0 + 2 * i) & mask, dur_, hop.in,
-                                  owner);
-        dyn_.slot_table_writes += static_cast<std::uint64_t>(dur_);
-      }
+      release_prefix(src, dst, fail_at, slot0, owner);
       if (fail_at > 0) {
-        const NodeId fail_node = route_hop(rr, dst, fail_at).router;
         send_config(src, fail_node, t);
         send_config(fail_node, src, t);
         send_config(src, fail_node, t);
@@ -815,18 +887,18 @@ class FastModel {
       if (t > idlest->second.last_used &&
           t - idlest->second.last_used >
               static_cast<Cycle>(cfg_.policy_epoch_cycles))
-        teardown_connection(src, idlest->first, t);
+        teardown_connection(src, idlest, t);
     }
     do_setup(src, dst, t);
   }
 
   enum class CsAttempt { Scheduled, NoWindow, NotWorth };
 
-  CsAttempt try_circuit(NodeId src, NodeId dst, RouteRef rr, Cycle t,
-                        int payload_flits) {
+  CsAttempt try_circuit(NodeId src, NodeId dst, Cycle t, int payload_flits) {
     NiState& st = ni_[static_cast<size_t>(src)];
     Conn& conn = st.conns[dst];
-    const int h = rr.hops;
+    XyLeg leg = route(src, dst);
+    const int h = leg.remaining;
     const auto S = static_cast<Cycle>(slots_);
     Cycle best = kCycleNever;
     size_t best_w = 0;
@@ -866,9 +938,9 @@ class FastModel {
     cs_flits_ += f;
     // Circuit flits occupy their reserved link cycles; packet-switched
     // backlogs behind them slip by the circuit's footprint.
-    for (int i = 0; i < h; ++i) {
-      const auto l = static_cast<size_t>(link(rr, i));
-      if (link_free_[l] > t) link_free_[l] += static_cast<Cycle>(fcs_);
+    for (; leg.remaining > 0; advance(leg)) {
+      Cycle& free = link_free_[leg.link];
+      if (free > t) free += static_cast<Cycle>(fcs_);
     }
     push_delivery(best + 2 * static_cast<Cycle>(h) + 2 +
                       static_cast<Cycle>(fcs_ - 1),
@@ -894,17 +966,16 @@ class FastModel {
   /// One admitted injection at NI v; dst < 0 is a synthetic draw that
   /// produced no packet (the NI's epoch still advances). Circuit-ineligible
   /// messages skip the whole policy block, including the pair-frequency
-  /// count. The pair is looked up once; its route is copied because a setup
-  /// may create pairs and move the record.
+  /// count, and so never create a pair record. The record is read only
+  /// before a setup may create pairs and move it.
   void inject(NodeId v, NodeId dst, int flits, bool cs_eligible, Cycle t) {
     if (tdm_) epoch_tick(v, t);
     if (dst < 0) return;
     if (measuring_)
       window_generated_flits_ += static_cast<std::uint64_t>(flits);
 
-    Pair& p = pair(v, dst);
-    const RouteRef rr = p.rr;
     if (tdm_ && cs_eligible) {
+      Pair& p = pair(v, dst);
       NiState& st = ni_[static_cast<size_t>(v)];
       if (p.freq_epoch != st.epoch) {
         p.freq_epoch = st.epoch;
@@ -912,7 +983,7 @@ class FastModel {
       }
       const int freq = ++p.freq;
       if (!st.conns.empty() && st.conns.find(dst) != st.conns.end()) {
-        const CsAttempt r = try_circuit(v, dst, rr, t, flits);
+        const CsAttempt r = try_circuit(v, dst, t, flits);
         if (r == CsAttempt::Scheduled) return;
         if (r == CsAttempt::NoWindow)
           maybe_setup(v, dst, t, /*supplement=*/true);
@@ -920,7 +991,7 @@ class FastModel {
       if (freq >= cfg_.path_freq_threshold)
         maybe_setup(v, dst, t, /*supplement=*/false);
     }
-    ps_launch(v, dst, rr, t, flits);
+    ps_launch(v, dst, t, flits);
   }
 
   /// pattern_destination, specialised at construction time: deterministic
@@ -1031,7 +1102,13 @@ class FastModel {
   Calendar<NodeId> inj_;           ///< next injection time per node
   Calendar<Delivery> deliveries_;  ///< finished transfers awaiting tallying
   Calendar<HopEvent> hops_;
-  std::vector<int> links_flat_;  ///< per-route link ids, concatenated
+  /// Node coordinates for route(); k <= 256 fits them in a byte each.
+  struct NodeXy {
+    std::uint8_t x, y;
+  };
+  std::vector<NodeXy> coords_;
+  /// advance()'s link-id steps per direction: {along y, turn, along x}.
+  std::array<std::array<std::uint32_t, 3>, 4> step_{};
   /// Open-addressing (linear probing) index of pairs_, keyed by
   /// src * n + dst; slots store the key, so probing never touches a record.
   static constexpr unsigned kInitialPairBits = 10;

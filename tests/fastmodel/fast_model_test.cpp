@@ -1,16 +1,17 @@
 // Unit tests for the transfer-level fast model: zero-load timing against
 // the analytic pipeline formula, bit-determinism per seed, saturation
 // detection, engine dispatch via RunParams::fidelity, and the supported-
-// configuration gate, exact golden fingerprints of five runs, the trace and
-// mesh-size input checks, and a memory guard at 128x128. Cross-fidelity
-// accuracy against the cycle core lives in accuracy_test.cpp
-// (ctest -L accuracy).
+// configuration gate, exact golden fingerprints of eight runs, the trace and
+// mesh-size input checks, a memory guard at 128x128 and the largest
+// accepted mesh (256x256). Cross-fidelity accuracy against the cycle core
+// lives in accuracy_test.cpp (ctest -L accuracy).
 #include "fastmodel/fast_model.hpp"
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
 #include "common/assert.hpp"
+#include "common/pool.hpp"
 #include "sim/driver.hpp"
 #include "workloads/workload.hpp"
 
@@ -136,7 +137,7 @@ TEST(FastModel, SupportGateNamesUnsupportedFeatures) {
 
 // --- golden fingerprints ---------------------------------------------------
 //
-// Five runs pinned field by field, exactly: every RunResult field and all 16
+// Eight runs pinned field by field, exactly: every RunResult field and all 16
 // energy counters. Self-determinism and the accuracy bands would both miss a
 // change that shifts a single link claim, slot reservation or rng draw;
 // these would not. A deliberate change to the model's behaviour re-records
@@ -369,6 +370,124 @@ TEST(FastModelGolden, HybridTdmHotspot32x32) {
   expect_fingerprint(r, golden);
 }
 
+TEST(FastModelGolden, PacketVc4Uniform12x12) {
+  // A packet-switched run on a mesh whose node count is not a power of two:
+  // no policy state at all, and uniform draws that take the rejection path
+  // of draw_uniform_node.
+  RunParams p = golden_params(TrafficPattern::UniformRandom, 0.2);
+  p.measure_packets = 100000;
+  const RunResult r = run_synthetic_fast(NocConfig::packet_vc4(12), p);
+  const RunResult golden{
+      .offered_rate = 0.20000000000000001,
+      .accepted_rate = 0.19749886698391117,
+      .avg_latency = 68.273150000000001,
+      .p99_latency = 155.95864661654136,
+      .saturated = false,
+      .measured_packets = 100000,
+      .cycles = 17652,
+      .energy = {.buffer_writes = 4516385,
+                 .buffer_reads = 4516385,
+                 .xbar_flits = 4516385,
+                 .vc_arbs = 903277,
+                 .sw_arbs = 4516385,
+                 .link_flits = 4014495,
+                 .slot_table_reads = 0,
+                 .slot_table_writes = 0,
+                 .dlt_accesses = 0,
+                 .cs_latch_flits = 0,
+                 .cycles = 2541888,
+                 .vc_active_cycles = 50837760,
+                 .slot_entry_active_cycles = 0,
+                 .dlt_active_cycles = 0,
+                 .cs_misc_active_cycles = 0,
+                 .link_active_cycles = 9320256},
+      .cs_flit_fraction = 0,
+      .config_flit_fraction = 0};
+  expect_fingerprint(r, golden);
+}
+
+TEST(FastModelGolden, HybridTdmBitComplementWithoutStealing12x12) {
+  // Bit-complement sends half the nodes west and north, so routes turn in
+  // all four directions on a 12x12 mesh. Without time-slot stealing every
+  // circuit reserves and releases link capacity along its route; a
+  // frequency threshold of 2 makes setups, failed prefixes and teardowns
+  // common while the run stays below saturation.
+  NocConfig cfg = NocConfig::hybrid_tdm_vc4(12);
+  cfg.time_slot_stealing = false;
+  cfg.path_freq_threshold = 2;
+  RunParams p = golden_params(TrafficPattern::BitComplement, 0.04);
+  p.measure_packets = 100000;
+  const RunResult r = run_synthetic_fast(cfg, p);
+  EXPECT_GT(r.cs_flit_fraction, 0.0);
+  EXPECT_GT(r.config_flit_fraction, 0.0);
+  const RunResult golden{
+      .offered_rate = 0.040000000000000001,
+      .accepted_rate = 0.040235072431585299,
+      .avg_latency = 81.969170000000005,
+      .p99_latency = 296.22807017543857,
+      .saturated = false,
+      .measured_packets = 100000,
+      .cycles = 87063,
+      .energy = {.buffer_writes = 3949186,
+                 .buffer_reads = 3949186,
+                 .xbar_flits = 5997018,
+                 .vc_arbs = 791082,
+                 .sw_arbs = 3949186,
+                 .link_flits = 5532458,
+                 .slot_table_reads = 12537072,
+                 .slot_table_writes = 3236,
+                 .dlt_accesses = 0,
+                 .cs_latch_flits = 2047832,
+                 .cycles = 12537072,
+                 .vc_active_cycles = 250741440,
+                 .slot_entry_active_cycles = 3209490432,
+                 .dlt_active_cycles = 0,
+                 .cs_misc_active_cycles = 12537072,
+                 .link_active_cycles = 45969264},
+      .cs_flit_fraction = 0.31052674645454975,
+      .config_flit_fraction = 0.00034871706561047014};
+  expect_fingerprint(r, golden);
+}
+
+TEST(FastModelGolden, HybridTdmOverloadBeyondRingHorizon) {
+  // 2 flits/node/cycle is twice what an NI can serialize, so source
+  // backlogs grow by a cycle per cycle until admission drops packets at
+  // 2000 queued. Heads then launch thousands of cycles ahead, beyond the
+  // 4096-cycle ring of the event calendars, and go through their overflow
+  // heaps; this pins the tie order between ring and overflow events.
+  RunParams p = golden_params(TrafficPattern::UniformRandom, 2.0);
+  p.measure_packets = 20000;
+  const RunResult r = run_synthetic_fast(NocConfig::hybrid_tdm_vc4(6), p);
+  EXPECT_TRUE(r.saturated);
+  const RunResult golden{
+      .offered_rate = 2,
+      .accepted_rate = 0.19261538131134162,
+      .avg_latency = 500.24916545946968,
+      .p99_latency = 15471,
+      .saturated = true,
+      .measured_packets = 15877,
+      .cycles = 15521,
+      .energy = {.buffer_writes = 3080448,
+                 .buffer_reads = 3080448,
+                 .xbar_flits = 3357908,
+                 .vc_arbs = 649108,
+                 .sw_arbs = 3080448,
+                 .link_flits = 2680792,
+                 .slot_table_reads = 558756,
+                 .slot_table_writes = 68388,
+                 .dlt_accesses = 0,
+                 .cs_latch_flits = 277460,
+                 .cycles = 558756,
+                 .vc_active_cycles = 11175120,
+                 .slot_entry_active_cycles = 71520768,
+                 .dlt_active_cycles = 0,
+                 .cs_misc_active_cycles = 558756,
+                 .link_active_cycles = 1862520},
+      .cs_flit_fraction = 0.095554775620854918,
+      .config_flit_fraction = 0.023765499559898155};
+  expect_fingerprint(r, golden);
+}
+
 // --- trace input checks ------------------------------------------------------
 
 TEST(FastModel, MalformedTracesAreRejectedAtBothFidelities) {
@@ -427,9 +546,59 @@ TEST(FastModel, Mesh128RunsTwinIdenticalInBoundedMemory) {
   expect_fingerprint(a, b);
   EXPECT_FALSE(a.saturated);
   EXPECT_GE(a.measured_packets, p.measure_packets);
+  // The process's peak, so the bound holds for this test run on its own
+  // (as ctest runs it): a 128x128 run keeps ~20 MiB live. Sanitizer builds
+  // (HN_POOL_DISABLED) add their runtime's shadow memory and keep a 1 GiB
+  // bound.
   rusage ru{};
   ASSERT_EQ(getrusage(RUSAGE_SELF, &ru), 0);
-  EXPECT_LT(ru.ru_maxrss, 1L << 20) << "peak RSS in KiB";
+  const long max_kib = HN_POOL_DISABLED ? 1L << 20 : 64L << 10;
+  EXPECT_LT(ru.ru_maxrss, max_kib) << "peak RSS in KiB";
+}
+
+TEST(FastModel, Mesh256RoutesReachTheLastRowAndColumn) {
+  // k = 256 is the largest mesh the model accepts: node ids fill all 16
+  // bits of a HopEvent's destination and coordinates reach 255, the longest
+  // y-leg a route position holds. Zero-load latency at this size exceeds
+  // the default latency cap, so the cap is lifted. The fingerprint was
+  // recorded when every route was unrolled link by link from route_xy, so
+  // a walk that turns at the wrong link or wraps a leg length moves the
+  // link clocks and with them the latencies.
+  RunParams p = base_params(TrafficPattern::UniformRandom, 0.001);
+  p.warmup_packets = 200;
+  p.warmup_min_cycles = 100;
+  p.measure_packets = 60000;
+  p.latency_cap = 1e9;
+  const NocConfig cfg = NocConfig::hybrid_tdm_vc4(256);
+  const RunResult r = run_synthetic_fast(cfg, p);
+  expect_fingerprint(r, run_synthetic_fast(cfg, p));
+  const RunResult golden{
+      .offered_rate = 0.001,
+      .accepted_rate = 0.00090467633736056807,
+      .avg_latency = 824.48707521541303,
+      .p99_latency = 1887.6633333333327,
+      .saturated = false,
+      .measured_packets = 60001,
+      .cycles = 5435,
+      .energy = {.buffer_writes = 61181505,
+                 .buffer_reads = 61181505,
+                 .xbar_flits = 61181505,
+                 .vc_arbs = 12236301,
+                 .sw_arbs = 61181505,
+                 .link_flits = 60824850,
+                 .slot_table_reads = 356188160,
+                 .slot_table_writes = 0,
+                 .dlt_accesses = 0,
+                 .cs_latch_flits = 0,
+                 .cycles = 356188160,
+                 .vc_active_cycles = 7123763200,
+                 .slot_entry_active_cycles = 91184168960,
+                 .dlt_active_cycles = 0,
+                 .cs_misc_active_cycles = 356188160,
+                 .link_active_cycles = 1419187200},
+      .cs_flit_fraction = 0,
+      .config_flit_fraction = 0};
+  expect_fingerprint(r, golden);
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
-// profile_tick — per-subsystem cycle-cost profile of the cycle core.
+// profile_tick — per-subsystem cycle-cost profile of the cycle core, and
+// the steady-state speed of the transfer-level fast model.
 //
 //   profile_tick [--k 32] [--arch packet|tdm] [--inject 0.05] [--cycles 20000]
 //                [--threads 1] [--no-active-set] [--watchdog 1024]
 //                [--fast-forward]
+//   profile_tick --fidelity fast [--k 8] [--arch packet|tdm] [--inject 0.3]
+//                [--reps 5]
 //
 // Runs seeded uniform-random injection against a k x k mesh and prints the
 // Network::tick_profile() counters — tick dispatches per subsystem, watchdog
@@ -21,18 +24,29 @@
 // over total dispatches) is its complement: it moves when a router or NI
 // tick gets cheaper while the dispatch count stays the same. Peak RSS (and
 // that peak spread over the nodes) shows a change in per-node memory layout.
+//
+// --fidelity fast times run_synthetic_fast instead, with the speed gate's
+// parameters (bench_micro_simspeed's BM_FastModelRun: uniform traffic, no
+// warmup, 400000 measured packets, seed 1; defaults hybrid-TDM 8x8 at 0.3),
+// and prints simulated cycles/s per repetition, their median and peak RSS:
+//
+//   tools/profile_tick --fidelity fast --reps 10            # the 8x8 gate row
+//   tools/profile_tick --fidelity fast --k 64 --inject 0.02 # the 64x64 row
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <sys/resource.h>
 
 #include "common/config.hpp"
 #include "common/pool.hpp"
 #include "common/rng.hpp"
+#include "fastmodel/fast_model.hpp"
 #include "noc/network.hpp"
 #include "tdm/hybrid_network.hpp"
 
@@ -40,15 +54,20 @@ using namespace hybridnoc;
 
 namespace {
 
+/// k, arch and inject start unset (0, "", < 0): their defaults depend on
+/// the fidelity.
 struct Options {
-  int k = 32;
-  std::string arch = "packet";
-  double inject = 0.05;
+  bool fast = false;
+  int k = 0;
+  std::string arch;
+  double inject = -1.0;
   std::uint64_t cycles = 20000;
   int threads = 1;
   bool active_set = true;
   std::uint64_t watchdog = 0;
   bool fast_forward = false;
+  int reps = 0;
+  bool cycle_only = false;  ///< a cycle-core flag was given
 };
 
 [[noreturn]] void usage() {
@@ -56,7 +75,9 @@ struct Options {
       stderr,
       "usage: profile_tick [--k N] [--arch packet|tdm] [--inject RATE]\n"
       "                    [--cycles N] [--threads N] [--no-active-set]\n"
-      "                    [--watchdog STALL_CYCLES] [--fast-forward]\n");
+      "                    [--watchdog STALL_CYCLES] [--fast-forward]\n"
+      "       profile_tick --fidelity fast [--k N] [--arch packet|tdm]\n"
+      "                    [--inject RATE] [--reps N]\n");
   std::exit(2);
 }
 
@@ -68,7 +89,14 @@ Options parse(int argc, char** argv) {
       if (i + 1 >= argc) usage();
       return argv[++i];
     };
-    if (a == "--k") {
+    if (a == "--fidelity") {
+      const std::string f = next();
+      if (f != "cycle" && f != "fast") usage();
+      o.fast = f == "fast";
+    } else if (a == "--reps") {
+      o.reps = std::atoi(next());
+      if (o.reps < 1) usage();
+    } else if (a == "--k") {
       o.k = std::atoi(next());
     } else if (a == "--arch") {
       o.arch = next();
@@ -76,21 +104,73 @@ Options parse(int argc, char** argv) {
       o.inject = std::atof(next());
     } else if (a == "--cycles") {
       o.cycles = std::strtoull(next(), nullptr, 10);
+      o.cycle_only = true;
     } else if (a == "--threads") {
       o.threads = std::atoi(next());
+      o.cycle_only = true;
     } else if (a == "--no-active-set") {
       o.active_set = false;
+      o.cycle_only = true;
     } else if (a == "--watchdog") {
       o.watchdog = std::strtoull(next(), nullptr, 10);
+      o.cycle_only = true;
     } else if (a == "--fast-forward") {
       o.fast_forward = true;
+      o.cycle_only = true;
     } else {
       usage();
     }
   }
+  if (o.fast ? o.cycle_only : o.reps != 0) usage();
+  if (o.k == 0) o.k = o.fast ? 8 : 32;
+  if (o.arch.empty()) o.arch = o.fast ? "tdm" : "packet";
+  if (o.inject < 0.0) o.inject = o.fast ? 0.3 : 0.05;
+  if (o.reps == 0) o.reps = 5;
   if (o.k < 2 || o.cycles == 0 || o.threads < 1) usage();
   if (o.arch != "packet" && o.arch != "tdm") usage();
   return o;
+}
+
+/// Peak resident set of this process in KiB (Linux reports ru_maxrss in
+/// KiB), so it covers construction and every structure that grew.
+double peak_rss_kb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss);
+}
+
+/// --fidelity fast: time `reps` whole fast-model runs of the speed gate's
+/// shape (see the file comment).
+void run_fast(const NocConfig& cfg, const Options& o) {
+  RunParams p;
+  p.pattern = TrafficPattern::UniformRandom;
+  p.injection_rate = o.inject;
+  p.warmup_packets = 0;
+  p.warmup_min_cycles = 0;
+  p.measure_packets = 400000;
+  p.seed = 1;
+  p.fidelity = Fidelity::Fast;
+  std::printf("fast model           %s %dx%d, uniform %.3g flits/node/cycle\n",
+              o.arch.c_str(), o.k, o.k, o.inject);
+  std::vector<double> rates;
+  for (int rep = 0; rep < o.reps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const RunResult r = run_synthetic_fast(cfg, p);
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    rates.push_back(secs > 0 ? static_cast<double>(r.cycles) / secs : 0.0);
+    std::printf("rep %-3d              %llu cycles in %.3f s  (%.0f cycles/s)%s\n",
+                rep + 1, static_cast<unsigned long long>(r.cycles), secs,
+                rates.back(), r.saturated ? "  saturated" : "");
+  }
+  std::sort(rates.begin(), rates.end());
+  const size_t m = rates.size() / 2;
+  const double median =
+      rates.size() % 2 ? rates[m] : 0.5 * (rates[m - 1] + rates[m]);
+  std::printf("median               %.0f cycles/s over %d reps\n", median,
+              o.reps);
+  std::printf("peak rss             %.1f MB\n", peak_rss_kb() / 1024.0);
 }
 
 template <typename Net>
@@ -172,11 +252,7 @@ void run(Net& net, const Options& o) {
   std::printf("flight releases      %llu  (%.3f /cycle)\n",
               static_cast<unsigned long long>(p.flight_releases),
               per_cycle(p.flight_releases));
-  // Process high-water mark (Linux reports ru_maxrss in KiB), so it covers
-  // construction and every ring or table that grew during the run.
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  const double peak_kb = static_cast<double>(ru.ru_maxrss);
+  const double peak_kb = peak_rss_kb();
   std::printf("peak rss             %.1f MB  (%.1f KB/node)\n", peak_kb / 1024.0,
               peak_kb / static_cast<double>(nodes));
 }
@@ -187,6 +263,10 @@ int main(int argc, char** argv) {
   const Options o = parse(argc, argv);
   NocConfig cfg = o.arch == "tdm" ? NocConfig::hybrid_tdm_vc4(o.k)
                                   : NocConfig::packet_vc4(o.k);
+  if (o.fast) {
+    run_fast(cfg, o);
+    return 0;
+  }
   cfg.active_set_scheduler = o.active_set;
   cfg.tick_threads = o.threads;
   cfg.watchdog_stall_cycles = o.watchdog;
