@@ -38,14 +38,6 @@ void BM_SlotTableReserveRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_SlotTableReserveRelease);
 
-/// state.range(0) selects the engine: 1 = active-set scheduler (default),
-/// 0 = legacy full sweep — kept benchmarkable so regressions in either
-/// engine (or in their gap) show up in BENCH_simspeed.json diffs.
-NocConfig engine_cfg(NocConfig cfg, benchmark::State& state) {
-  cfg.active_set_scheduler = state.range(0) != 0;
-  return cfg;
-}
-
 /// Drive `net` for the benchmark loop at a fixed per-node injection
 /// probability per cycle. items_per_second is node-cycles per wall second.
 template <typename Net>
@@ -72,7 +64,9 @@ void run_injected_cycles_at(Net& net, benchmark::State& state, double rate) {
 }
 
 /// state.range(1), where present, is the per-node injection probability in
-/// permille. 40 is the historical near-saturation point; 5 is the sparse
+/// permille. The network-cycle rows below keep a leading argument of 1 that
+/// once selected the engine, so their names still match the rows recorded
+/// in BENCH_simspeed.json. 40 is the historical near-saturation point; 5 is the sparse
 /// regime (most components idle most cycles) the active-set engine targets.
 template <typename Net>
 void run_injected_cycles(Net& net, benchmark::State& state) {
@@ -81,31 +75,23 @@ void run_injected_cycles(Net& net, benchmark::State& state) {
 }
 
 void BM_IdleNetworkCycle(benchmark::State& state) {
-  Network net(engine_cfg(NocConfig::packet_vc4(6), state));
+  Network net(NocConfig::packet_vc4(6));
   for (auto _ : state) net.tick();
   state.SetItemsProcessed(state.iterations() * 36);
 }
-BENCHMARK(BM_IdleNetworkCycle)->Arg(1)->Arg(0);
+BENCHMARK(BM_IdleNetworkCycle)->Arg(1);
 
 void BM_LoadedNetworkCycle(benchmark::State& state) {
-  Network net(engine_cfg(NocConfig::packet_vc4(6), state));
+  Network net(NocConfig::packet_vc4(6));
   run_injected_cycles(net, state);
 }
-BENCHMARK(BM_LoadedNetworkCycle)
-    ->Args({1, 40})
-    ->Args({0, 40})
-    ->Args({1, 5})
-    ->Args({0, 5});
+BENCHMARK(BM_LoadedNetworkCycle)->Args({1, 40})->Args({1, 5});
 
 void BM_HybridNetworkCycle(benchmark::State& state) {
-  HybridNetwork net(engine_cfg(NocConfig::hybrid_tdm_vc4(6), state));
+  HybridNetwork net(NocConfig::hybrid_tdm_vc4(6));
   run_injected_cycles(net, state);
 }
-BENCHMARK(BM_HybridNetworkCycle)
-    ->Args({1, 40})
-    ->Args({0, 40})
-    ->Args({1, 5})
-    ->Args({0, 5});
+BENCHMARK(BM_HybridNetworkCycle)->Args({1, 40})->Args({1, 5});
 
 /// Thread scaling of the sharded parallel tick engine: 8x8 mesh near
 /// saturation (0.30 injection probability per node per cycle), cycle
@@ -319,11 +305,11 @@ BENCHMARK(BM_SweepCachedResume)->Unit(benchmark::kMillisecond);
 void BM_IdleFastForward(benchmark::State& state) {
   // Whole-window skip: what an idle stretch costs when the driver may jump
   // instead of ticking cycle by cycle.
-  Network net(engine_cfg(NocConfig::packet_vc4(6), state));
+  Network net(NocConfig::packet_vc4(6));
   for (auto _ : state) net.fast_forward(net.now() + 4096);
   state.SetItemsProcessed(state.iterations() * 4096);
 }
-BENCHMARK(BM_IdleFastForward)->Arg(1)->Arg(0);
+BENCHMARK(BM_IdleFastForward)->Arg(1);
 
 }  // namespace
 }  // namespace hybridnoc

@@ -146,17 +146,15 @@ struct NocConfig {
   std::uint64_t setup_backoff_cap_cycles = 1024;
 
   // --- simulation engine ---
-  /// Active-set scheduling: skip idle routers/NIs each cycle and
-  /// fast-forward over fully idle stretches, with lazily folded energy
-  /// integrals. Bit-identical to the legacy full sweep (asserted by the
-  /// scheduler-equivalence property tests); set false to force the legacy
-  /// every-component-every-cycle sweep.
-  bool active_set_scheduler = true;
+  // The tick engine always skips idle routers/NIs and fast-forwards fully
+  // idle stretches, folding their energy integrals in closed form; the
+  // engine catalog (tests/properties/engine_catalog_test.cpp) pins its
+  // results with golden digests.
   /// Worker threads for the sharded parallel tick engine: the mesh is split
   /// into contiguous node-range shards (one thread each) and every cycle
   /// runs compute -> barrier -> commit, with cross-shard channel writes
   /// staged so results are bit-identical to the serial engine for any
-  /// thread count (asserted by the thread-equivalence property tests).
+  /// thread count (asserted by the engine catalog's thread cross).
   /// 1 (the default) bypasses the engine entirely — the serial tick path
   /// is byte-for-byte the pre-engine code. Incompatible with
   /// vc_power_gating, whose cross-router VC announcements are read

@@ -165,7 +165,7 @@ class Channel : public ChannelBase {
   RingDeque<Entry> queue_;
   std::vector<Entry> staging_;  ///< cross-shard outbox (staged mode only)
   int latency_;
-  TickScheduler* sched_ = nullptr;  ///< null under the legacy full sweep
+  TickScheduler* sched_ = nullptr;  ///< null for a channel outside a Network
   int consumer_ = -1;
   Cycle* hint_ = nullptr;  ///< consumer-owned copy of next_ready()
 };

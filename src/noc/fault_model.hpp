@@ -12,11 +12,11 @@
 // Transient corruption is a stateless hash of (fault_seed, link, n-th
 // traversal of that link): whether a given traversal corrupts depends on
 // nothing but the traversal count of that one link, so the decision is
-// independent of global event ordering and identical under the active-set
-// and legacy tick engines. In Record mode every fired corruption is logged
-// as a (link, occurrence) pair; Replay mode applies exactly the recorded
-// occurrences and never evaluates the hash, so replays are RNG-free and
-// survive trace shrinking.
+// independent of global event ordering and identical at every tick-thread
+// count. In Record mode every fired corruption is logged as a (link,
+// occurrence) pair; Replay mode applies exactly the recorded occurrences and
+// never evaluates the hash, so replays are RNG-free and survive trace
+// shrinking.
 #pragma once
 
 #include <atomic>

@@ -404,7 +404,8 @@ Cycle NetworkInterface::sched_next_event(Cycle now) const {
   if (inject_credits_in_) next = std::min(next, inject_credits_in_->next_ready());
   if (eject_) next = std::min(next, eject_->next_ready());
   // Retransmission timers must fire on time even while the NI is otherwise
-  // asleep, or recovery under fast_forward diverges from the full sweep.
+  // asleep, or recovery under fast_forward diverges from ticking every
+  // cycle.
   for (const auto& [key, o] : outstanding_) {
     next = std::min(next, std::max(o.next_retx, now + 1));
   }

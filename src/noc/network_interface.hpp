@@ -175,8 +175,8 @@ class NetworkInterface : public VcHolder {
   }
   /// Re-anchor epoch state after a sleep (hybrid NI: the policy epoch).
   virtual void align_epochs(Cycle now) { (void)now; }
-  /// Patch derived counters at query time (hybrid NI: dlt_accesses, which
-  /// the full sweep refreshes from the DLT every cycle).
+  /// Patch derived counters at query time (hybrid NI: dlt_accesses, read
+  /// from the DLT so cycles slept through cannot leave it stale).
   virtual void finalize_energy(EnergyCounters& e) const { (void)e; }
   /// The end-to-end layer retransmitted a packet toward `dst` (hybrid NI:
   /// bump the circuit's missed-slot streak) / saw an ack from `dst` come
@@ -195,10 +195,8 @@ class NetworkInterface : public VcHolder {
     (void)pkt;
     (void)now;
   }
-  /// Wake this NI at `at` (no-op under the legacy full sweep).
-  void sched_wake(Cycle at) {
-    if (sched_) sched_->wake_at(sched_id_, at);
-  }
+  /// Wake this NI at `at`.
+  void sched_wake(Cycle at) { sched_->wake_at(sched_id_, at); }
 
   /// Injection-side admission for the fault layer: fails the packet cleanly
   /// (returns false) when its destination is partitioned off, otherwise

@@ -501,9 +501,10 @@ void Router::align_epochs(Cycle now) {
   if (!cfg_.vc_power_gating) return;
   const auto epoch = static_cast<Cycle>(cfg_.vc_gate_epoch_cycles);
   // Advance epoch_start_ past the boundaries that fell inside the sleep;
-  // those fired as no-ops (zero integrals, no drain, announced == resting
-  // level) under the full sweep. The `now - 1` keeps a boundary landing
-  // exactly on the wake cycle for the live vc_gating_tick to process.
+  // had the router ticked, those would have fired as no-ops (zero integrals,
+  // no drain, announced == resting level). The `now - 1` keeps a boundary
+  // landing exactly on the wake cycle for the live vc_gating_tick to
+  // process.
   if (now > epoch_start_)
     epoch_start_ += epoch * ((now - 1 - epoch_start_) / epoch);
 }

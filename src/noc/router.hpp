@@ -222,9 +222,9 @@ class Router : public VcHolder {
   /// their own leakage integrals.
   virtual void accumulate_idle_energy(EnergyCounters& e, std::uint64_t ncycles) const;
   /// Re-anchor epoch state after a sleep so the boundary check in this tick
-  /// sees the same phase the full sweep would. Skipped boundaries were
-  /// no-ops by construction: sched_next_event keeps the router awake at
-  /// every boundary where gating state could change.
+  /// sees the same phase as if it had ticked every cycle. Skipped
+  /// boundaries were no-ops by construction: sched_next_event keeps the
+  /// router awake at every boundary where gating state could change.
   virtual void align_epochs(Cycle now);
 
   // --- services shared with subclasses ---

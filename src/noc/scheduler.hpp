@@ -2,8 +2,8 @@
 // their tick() called this cycle, so the network can skip idle ones and
 // fast-forward over cycles where nothing at all happens.
 //
-// Correctness contract (what keeps the active-set path bit-identical to the
-// legacy full sweep):
+// Correctness contract (what makes skipping idle components unobservable,
+// i.e. a run identical to one that ticks every component every cycle):
 //  * A spurious wake is harmless: ticking an idle component is a
 //    deterministic no-op — the per-cycle energy constants it would accrue
 //    are folded in closed form when it sleeps (see accumulate_idle_energy).
@@ -20,12 +20,11 @@
 // Cost model: the scheduler maintains a sorted run list of the active slots
 // so a cycle's dispatch is O(active) — not O(components) — which is what
 // lets a 64x64 mesh tick at 8x8 cost when only a handful of nodes are busy.
-// sweep() walks the run list in ascending slot order (identical to the
-// legacy full sweep's visit order); components that activate mid-sweep at a
-// position the cursor has not reached yet are spliced in through a small
-// side-heap, so they tick this cycle exactly as the flag-scan would have
-// ticked them, and components that activate at an already-passed position
-// wait for the next cycle, again exactly like the flag-scan.
+// Dispatch order contract: sweep() visits active components in ascending
+// id order, NIs then routers. A component that activates mid-sweep at an id
+// the cursor has not reached yet is spliced in through a small side-heap and
+// ticks this cycle; one that activates at an id already passed ticks next
+// cycle.
 //
 // The scheduler can serve either the whole network (reset: one flat id
 // range) or one shard of the parallel tick engine (reset_ranges: the shard's
@@ -50,8 +49,8 @@ namespace hybridnoc {
 class TickScheduler {
  public:
   /// (Re)initialize for `num_components` components, all active. Starting
-  /// everyone active means the first tick behaves exactly like a full sweep
-  /// and components earn their way out of the active set.
+  /// everyone active means the first tick ticks every component, and
+  /// components earn their way out of the active set.
   void reset(int num_components) {
     lo1_ = 0;
     lo2_ = num_components;  // degenerate split: slot(id) == id everywhere
@@ -111,12 +110,11 @@ class TickScheduler {
   }
 
   /// Dispatch the cycle: call `tick(id)` for every active component in
-  /// ascending slot order (NIs then routers — the legacy sweep order),
-  /// touching only the run list, never the full slot range. Components
-  /// activated from inside a tick behave exactly as under the legacy
-  /// flag-scan: a position still ahead of the cursor ticks this cycle (the
-  /// side-heap splices it in in order), an already-passed position ticks
-  /// next cycle.
+  /// ascending slot order (NIs, then routers), touching only the run list,
+  /// never the full slot range. A component activated from inside a tick at
+  /// a position still ahead of the cursor ticks this cycle (the side-heap
+  /// splices it in in order); one at an already-passed position ticks next
+  /// cycle.
   template <typename TickFn>
   void sweep(TickFn&& tick) {
     merge_incoming();
@@ -268,11 +266,11 @@ class TickScheduler {
       in_list_[i] = 1;
       incoming_.push_back(slot);
       // Activated from inside a tick at a position the cursor has not
-      // reached: splice it into this sweep so it runs this cycle, exactly
-      // where the legacy flag-scan would have found its flag set. (If the
-      // slot is already listed ahead of the cursor, the run-list entry
-      // itself will dispatch it — entries behind the cursor were either
-      // dispatched or dropped with their membership flag cleared.)
+      // reached: splice it into this sweep so it runs this cycle, in its
+      // ascending-id place. (If the slot is already listed ahead of the
+      // cursor, the run-list entry itself will dispatch it — entries behind
+      // the cursor were either dispatched or dropped with their membership
+      // flag cleared.)
       if (in_sweep_ && slot > cursor_) sweep_extra_.push(slot);
     }
   }

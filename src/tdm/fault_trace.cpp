@@ -396,6 +396,36 @@ bool is_data_fault_record(const FaultRecord& r) {
 
 }  // namespace
 
+void arm_fault_replay(HybridNetwork& net, const FaultScenario& s,
+                      bool audit_each_event) {
+  FaultTrace config_trace;
+  std::vector<LinkFaultEvent> transients;
+  bool any_data_records = false;
+  for (const auto& r : s.faults.records) {
+    if (!is_data_fault_record(r)) {
+      config_trace.records.push_back(r);
+      continue;
+    }
+    any_data_records = true;
+    FaultModel& fm = net.ensure_fault_model();
+    if (r.kind == ConfigKind::Router) {
+      fm.kill_router(r.src, r.cycle);
+    } else if (r.action == FaultAction::Kill) {
+      fm.kill_link(r.src, static_cast<Port>(r.dst), r.cycle);
+    } else if (r.action == FaultAction::Stuck) {
+      fm.stick_link(r.src, static_cast<Port>(r.dst), r.cycle, r.delay);
+    } else {
+      transients.push_back({FaultKind::Transient, r.src,
+                            static_cast<Port>(r.dst), r.cycle, 0,
+                            static_cast<std::uint64_t>(r.occurrence)});
+    }
+  }
+  if (any_data_records || s.link_ber > 0.0) {
+    net.ensure_fault_model().set_transient_replay(transients);
+  }
+  net.enable_config_fault_replay(config_trace, audit_each_event);
+}
+
 ScenarioOutcome run_fault_scenario(const FaultScenario& s, ScenarioMode mode,
                                    bool audit_each_event,
                                    FaultTrace* recorded) {
@@ -417,34 +447,8 @@ ScenarioOutcome run_fault_scenario(const FaultScenario& s, ScenarioMode mode,
   } else {
     // Replay re-derives every data-plane fault from the trace (not the
     // scenario's kill/stick schedule), so the shrinker can drop those
-    // records too; transient corruption replays by (link, occurrence) and
-    // never evaluates the BER hash.
-    FaultTrace config_trace;
-    std::vector<LinkFaultEvent> transients;
-    bool any_data_records = false;
-    for (const auto& r : s.faults.records) {
-      if (!is_data_fault_record(r)) {
-        config_trace.records.push_back(r);
-        continue;
-      }
-      any_data_records = true;
-      FaultModel& fm = net.ensure_fault_model();
-      if (r.kind == ConfigKind::Router) {
-        fm.kill_router(r.src, r.cycle);
-      } else if (r.action == FaultAction::Kill) {
-        fm.kill_link(r.src, static_cast<Port>(r.dst), r.cycle);
-      } else if (r.action == FaultAction::Stuck) {
-        fm.stick_link(r.src, static_cast<Port>(r.dst), r.cycle, r.delay);
-      } else {
-        transients.push_back({FaultKind::Transient, r.src,
-                              static_cast<Port>(r.dst), r.cycle, 0,
-                              static_cast<std::uint64_t>(r.occurrence)});
-      }
-    }
-    if (any_data_records || s.link_ber > 0.0) {
-      net.ensure_fault_model().set_transient_replay(transients);
-    }
-    net.enable_config_fault_replay(config_trace, audit_each_event);
+    // records too.
+    arm_fault_replay(net, s, audit_each_event);
   }
 
   // Resize requests and traffic are both indexed against the scenario clock;

@@ -32,6 +32,8 @@
 
 namespace hybridnoc {
 
+class HybridNetwork;
+
 /// Seeded parameters for the config-message fault-injection harness: every
 /// outgoing setup/teardown/ack is independently dropped, delayed or
 /// duplicated with the given probabilities.
@@ -201,6 +203,13 @@ enum class ScenarioMode : std::uint8_t {
   Record,  ///< seeded faults from fault_params; decision sequence captured
   Replay,  ///< decisions re-driven from the scenario's fault trace
 };
+
+/// Arm `net` to replay `s.faults`: data-plane records (Link/Router) are
+/// re-derived onto the fault model — kills, stuck windows, and fired
+/// transients by (link, occurrence), so the BER hash is never evaluated —
+/// and config-plane records feed the dispatch-replay hook.
+void arm_fault_replay(HybridNetwork& net, const FaultScenario& s,
+                      bool audit_each_event = false);
 
 /// Build the network, drive the scenario end to end (storm, cooldown,
 /// drain, lease expiry) and report the outcome. In Record mode the captured

@@ -72,7 +72,7 @@ void HybridNi::send(PacketPtr pkt, Cycle now) {
   HN_CHECK(pkt && pkt->src == id_);
   // Wake before any early return: a circuit-scheduled packet bypasses
   // NetworkInterface::send (and its wake), but still mutated freq_ — the NI
-  // must tick this cycle so the policy epoch sees what the full sweep sees.
+  // must tick this cycle so the policy epoch sees every send of the cycle.
   sched_wake(now);
   if (pkt->created == 0) pkt->created = now;
   if (pkt->final_dst == kInvalidNode) pkt->final_dst = pkt->dst;
@@ -837,7 +837,7 @@ Cycle HybridNi::sched_next_event(Cycle now) const {
   Cycle next = NetworkInterface::sched_next_event(now);
   // Slot-timed circuit injections and delayed (fault-injected) config
   // releases happen at exact cycles; waking late would trip the
-  // missed-injection-slot check and diverge from the full sweep.
+  // missed-injection-slot check and diverge from ticking every cycle.
   if (!cs_plan_.empty()) next = std::min(next, cs_plan_.begin()->first);
   if (!delayed_config_.empty())
     next = std::min(next, delayed_config_.begin()->first);

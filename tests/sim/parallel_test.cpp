@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace hybridnoc {
@@ -33,7 +35,9 @@ TEST(ParallelFor, PropagatesFirstExceptionUnderContention) {
   // exception to the caller and (b) stop workers from claiming fresh work
   // after the failure is published — without fences a worker could pass the
   // `failed` check, have the claim reordered around it, and keep running
-  // long after the stop request.
+  // long after the stop request. Each iteration that sees the throw sleeps
+  // 100 us, so `after_failure` counts claims made after the failure rather
+  // than how long the throwing thread stays preempted before it reports it.
   constexpr std::size_t kN = 200000;
   std::atomic<std::size_t> ran{0};
   std::atomic<std::size_t> after_failure{0};
@@ -44,6 +48,7 @@ TEST(ParallelFor, PropagatesFirstExceptionUnderContention) {
           [&](std::size_t i) {
             if (thrown.load(std::memory_order_acquire)) {
               after_failure.fetch_add(1, std::memory_order_relaxed);
+              std::this_thread::sleep_for(std::chrono::microseconds(100));
             }
             ran.fetch_add(1, std::memory_order_relaxed);
             if (i == 17) {

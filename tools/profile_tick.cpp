@@ -2,8 +2,7 @@
 // the steady-state speed of the transfer-level fast model.
 //
 //   profile_tick [--k 32] [--arch packet|tdm] [--inject 0.05] [--cycles 20000]
-//                [--threads 1] [--no-active-set] [--watchdog 1024]
-//                [--fast-forward]
+//                [--threads 1] [--watchdog 1024] [--fast-forward]
 //   profile_tick --fidelity fast [--k 8] [--arch packet|tdm] [--inject 0.3]
 //                [--reps 5]
 //
@@ -16,14 +15,14 @@
 //   tools/profile_tick --k 64 --inject 0            # idle floor
 //   tools/profile_tick --k 64 --inject 0.005        # sparse regime
 //   tools/profile_tick --k 64 --inject 0.1 --threads 4
-//   tools/profile_tick --k 64 --inject 0 --no-active-set   # legacy sweep
 //
-// Dispatches/cycle is the headline number: at --inject 0 the active-set
-// engine should show ~0 while the legacy sweep shows 2*k*k — the O(nodes)
-// per-cycle cost the run-list scheduler eliminates. ns/dispatch (wall time
-// over total dispatches) is its complement: it moves when a router or NI
-// tick gets cheaper while the dispatch count stays the same. Peak RSS (and
-// that peak spread over the nodes) shows a change in per-node memory layout.
+// Dispatches/cycle is the headline number: at --inject 0 it should be ~0,
+// against the 2*k*k of a sweep that ticks every component every cycle —
+// the O(nodes) per-cycle cost the run-list scheduler eliminates.
+// ns/dispatch (wall time over total dispatches) is its complement: it moves
+// when a router or NI tick gets cheaper while the dispatch count stays the
+// same. Peak RSS (and that peak spread over the nodes) shows a change in
+// per-node memory layout.
 //
 // --fidelity fast times run_synthetic_fast instead, with the speed gate's
 // parameters (bench_micro_simspeed's BM_FastModelRun: uniform traffic, no
@@ -63,7 +62,6 @@ struct Options {
   double inject = -1.0;
   std::uint64_t cycles = 20000;
   int threads = 1;
-  bool active_set = true;
   std::uint64_t watchdog = 0;
   bool fast_forward = false;
   int reps = 0;
@@ -74,7 +72,7 @@ struct Options {
   std::fprintf(
       stderr,
       "usage: profile_tick [--k N] [--arch packet|tdm] [--inject RATE]\n"
-      "                    [--cycles N] [--threads N] [--no-active-set]\n"
+      "                    [--cycles N] [--threads N]\n"
       "                    [--watchdog STALL_CYCLES] [--fast-forward]\n"
       "       profile_tick --fidelity fast [--k N] [--arch packet|tdm]\n"
       "                    [--inject RATE] [--reps N]\n");
@@ -107,9 +105,6 @@ Options parse(int argc, char** argv) {
       o.cycle_only = true;
     } else if (a == "--threads") {
       o.threads = std::atoi(next());
-      o.cycle_only = true;
-    } else if (a == "--no-active-set") {
-      o.active_set = false;
       o.cycle_only = true;
     } else if (a == "--watchdog") {
       o.watchdog = std::strtoull(next(), nullptr, 10);
@@ -218,11 +213,10 @@ void run(Net& net, const Options& o) {
               static_cast<unsigned long long>(p.ni_ticks));
   std::printf("router ticks         %llu\n",
               static_cast<unsigned long long>(p.router_ticks));
-  std::printf("dispatches/cycle     %.2f  (legacy full sweep would be %llu)\n",
+  std::printf("dispatches/cycle     %.2f\n",
               p.cycles ? static_cast<double>(dispatches) /
                              static_cast<double>(p.cycles)
-                       : 0.0,
-              static_cast<unsigned long long>(2 * nodes));
+                       : 0.0);
   // Wall time per NI or router tick (injection loop included): the number a
   // router- or NI-level change moves while dispatches/cycle stays put.
   std::printf("ns/dispatch          %.1f\n",
@@ -267,7 +261,6 @@ int main(int argc, char** argv) {
     run_fast(cfg, o);
     return 0;
   }
-  cfg.active_set_scheduler = o.active_set;
   cfg.tick_threads = o.threads;
   cfg.watchdog_stall_cycles = o.watchdog;
   if (o.arch == "tdm") {
