@@ -1,59 +1,57 @@
-// Process-wide allocation / packet-lifetime telemetry. The counters make the
+// Allocation / packet-lifetime telemetry. The counters make the
 // "allocation-free, refcount-free" property of the loaded path measurable:
 // tools/profile_tick surfaces them per run and the steady-state
 // zero-allocation test asserts the heap side directly.
 //
-// All counters are relaxed atomics — they are statistics, not
-// synchronization, and every writer is already ordered by the structures it
-// touches (the pool mutex, the shard barriers).
+// Thread-safety: share nothing. Each thread bumps its own instance()
+// (thread_local, plain integers, no atomic read-modify-write), so concurrent
+// sweep workers never write a common cache line. A network's counts are the
+// delta of the thread that constructs and ticks it, plus the per-cycle
+// deltas the parallel tick engine's shard workers fold in (see
+// Network::tick_profile); a network ticked by one sweep worker therefore
+// counts only its own packets.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 namespace hybridnoc {
 
 struct AllocStats {
   /// Packets minted through make_packet (injection, clones, acks).
-  std::atomic<std::uint64_t> packets_minted{0};
+  std::uint64_t packets_minted = 0;
   /// Pooled allocations served from a free list vs falling through to
   /// operator new (misses include first-touch warmup and >1 KiB blocks).
-  std::atomic<std::uint64_t> pool_hits{0};
-  std::atomic<std::uint64_t> pool_misses{0};
+  std::uint64_t pool_hits = 0;
+  std::uint64_t pool_misses = 0;
   /// Packet flight-anchor acquire/release pairs: the total shared_ptr
   /// refcount traffic of the flit path, now two ops per packet instead of
   /// two per flit copy.
-  std::atomic<std::uint64_t> flight_acquires{0};
-  std::atomic<std::uint64_t> flight_releases{0};
+  std::uint64_t flight_acquires = 0;
+  std::uint64_t flight_releases = 0;
 
+  /// The calling thread's counters.
   static AllocStats& instance() {
-    static AllocStats s;
+    thread_local AllocStats s;
     return s;
   }
 
-  struct Snapshot {
-    std::uint64_t packets_minted = 0;
-    std::uint64_t pool_hits = 0;
-    std::uint64_t pool_misses = 0;
-    std::uint64_t flight_acquires = 0;
-    std::uint64_t flight_releases = 0;
-  };
-
-  Snapshot snapshot() const {
-    Snapshot s;
-    s.packets_minted = packets_minted.load(std::memory_order_relaxed);
-    s.pool_hits = pool_hits.load(std::memory_order_relaxed);
-    s.pool_misses = pool_misses.load(std::memory_order_relaxed);
-    s.flight_acquires = flight_acquires.load(std::memory_order_relaxed);
-    s.flight_releases = flight_releases.load(std::memory_order_relaxed);
-    return s;
+  AllocStats& operator+=(const AllocStats& o) {
+    packets_minted += o.packets_minted;
+    pool_hits += o.pool_hits;
+    pool_misses += o.pool_misses;
+    flight_acquires += o.flight_acquires;
+    flight_releases += o.flight_releases;
+    return *this;
   }
 
-  void bump(std::atomic<std::uint64_t>& c) { c.fetch_add(1, std::memory_order_relaxed); }
+  friend AllocStats operator-(AllocStats a, const AllocStats& b) {
+    a.packets_minted -= b.packets_minted;
+    a.pool_hits -= b.pool_hits;
+    a.pool_misses -= b.pool_misses;
+    a.flight_acquires -= b.flight_acquires;
+    a.flight_releases -= b.flight_releases;
+    return a;
+  }
 };
-
-inline void alloc_stats_bump(std::atomic<std::uint64_t>& c) {
-  c.fetch_add(1, std::memory_order_relaxed);
-}
 
 }  // namespace hybridnoc

@@ -5,16 +5,22 @@
 // std::allocate_shared control blocks per run, and the general-purpose
 // allocator's size-class lookup plus cross-thread free-list handling becomes a
 // measurable slice of the cycle core. PoolAlloc routes those blocks through a
-// process-wide bucketed free list instead: deallocation pushes the raw block
-// onto the bucket for its size, allocation pops it back. Blocks never shrink
-// or merge — every block in a bucket has exactly the bucket's size, so a pop
-// is always a fit.
+// bucketed free list instead: deallocation pushes the raw block onto the
+// bucket for its size, allocation pops it back. Blocks never shrink or
+// merge — every block in a bucket has exactly the bucket's size, so a pop is
+// always a fit.
 //
-// Thread-safety: a plain std::mutex per pool. Packets are created on shard
-// threads and released wherever the last FlitPtr/PacketPtr dies (often a
-// different shard, or the drain on the main thread), so lock-free would buy
-// little — the lock is uncontended in the serial engine and amortised by the
-// allocator's own work in the parallel one.
+// Thread-safety: share nothing. Each thread owns its own pool (instance() is
+// thread_local), so neither path takes a lock or touches a cache line another
+// thread writes — concurrent sweep workers, each running its own network,
+// never meet here. A block is plain bucket-sized memory from operator new,
+// so a block freed on a thread other than the one that allocated it simply
+// joins the freeing thread's list; that is the parallel tick engine's normal
+// case (packets minted on the main thread, consumed on shard threads). A
+// thread's cached blocks are returned to operator delete when the thread
+// exits; a deallocation that arrives after that (a later thread_local
+// destructor, or static destruction on the main thread) goes straight to
+// operator delete as well.
 //
 // Sanitizer builds bypass recycling entirely: a recycled block would hide
 // use-after-free bugs from asan (the memory stays live in the pool), so under
@@ -24,9 +30,9 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <set>
 #include <unordered_map>
@@ -50,70 +56,106 @@
 
 namespace hybridnoc {
 
-/// Process-wide bucketed block pool backing PoolAlloc. Buckets are spaced a
+/// Per-thread bucketed block pool backing PoolAlloc. Buckets are spaced a
 /// cache line apart and capped in length so a burst (a storm test minting a
-/// million packets, then idling) cannot pin unbounded memory.
+/// million packets, then idling) cannot pin unbounded memory. A free block
+/// stores the next link of its bucket's list in its own first bytes.
 class BlockPool {
  public:
+  /// The calling thread's pool. Constant-initialized and trivially
+  /// destructible, so the storage outlives every destructor of the thread.
   static BlockPool& instance() {
-    static BlockPool pool;
+    thread_local BlockPool pool;
     return pool;
   }
 
   void* allocate(std::size_t bytes) {
     const int b = bucket_of(bytes);
     if (b >= 0 && enabled()) {
-      std::lock_guard<std::mutex> lk(mu_);
-      std::vector<void*>& list = free_[static_cast<std::size_t>(b)];
-      if (!list.empty()) {
-        void* p = list.back();
-        list.pop_back();
-        alloc_stats_bump(AllocStats::instance().pool_hits);
-        return p;
+      const auto i = static_cast<std::size_t>(b);
+      if (FreeBlock* head = head_[i]) {
+        head_[i] = head->next;
+        --count_[i];
+        ++AllocStats::instance().pool_hits;
+        return head;
       }
     }
-    alloc_stats_bump(AllocStats::instance().pool_misses);
+    ++AllocStats::instance().pool_misses;
     return ::operator new(b >= 0 ? bucket_bytes(b) : bytes);
   }
 
   void deallocate(void* p, std::size_t bytes) {
     const int b = bucket_of(bytes);
-    if (b >= 0 && enabled()) {
-      std::lock_guard<std::mutex> lk(mu_);
-      std::vector<void*>& list = free_[static_cast<std::size_t>(b)];
-      if (list.size() < kMaxPerBucket) {
-        list.push_back(p);
+    if (b >= 0 && enabled() && !dead_) {
+      const auto i = static_cast<std::size_t>(b);
+      if (count_[i] < kMaxPerBucket) {
+        if (!armed_) arm();
+        head_[i] = ::new (p) FreeBlock{head_[i]};
+        ++count_[i];
         return;
       }
     }
     ::operator delete(p);
   }
 
-  /// Runtime recycling switch. Off = every PoolAlloc allocation degrades to
-  /// plain operator new/delete, the same shared_ptr-compatible fallback the
-  /// sanitizer builds use — which is how the pool-on/pool-off twin-run test
-  /// and the asan leg exercise that path explicitly. Blocks allocated while
-  /// the pool was on still free correctly after a toggle: bucket sizes are
+  /// Runtime recycling switch, process-wide (a relaxed load on the hot
+  /// path). Off = every PoolAlloc allocation degrades to plain operator
+  /// new/delete, the same shared_ptr-compatible fallback the sanitizer
+  /// builds use — which is how the pool-on/pool-off twin-run test and the
+  /// asan leg exercise that path explicitly. Blocks allocated while the
+  /// pool was on still free correctly after a toggle: bucket sizes are
   /// deterministic from the request size, and a disabled deallocate simply
   /// returns the block to the system allocator instead of a free list.
   /// Compile-time HN_POOL_DISABLED (sanitizers) overrides this to off.
   static bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
   static void set_enabled(bool on) { enabled_flag().store(on, std::memory_order_relaxed); }
 
-  /// Drops every cached free block (testing hook; makes pool-off runs start
-  /// from the same cold allocator state as a fresh process).
+  /// Drops every block cached by the calling thread's pool (testing hook;
+  /// makes pool-off runs start from the same cold allocator state as a
+  /// fresh process).
   void trim() {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (std::vector<void*>& list : free_) {
-      for (void* p : list) ::operator delete(p);
-      list.clear();
+    for (std::size_t i = 0; i < kNumBuckets; ++i) {
+      while (FreeBlock* head = head_[i]) {
+        head_[i] = head->next;
+        ::operator delete(head);
+      }
+      count_[i] = 0;
     }
+  }
+
+  /// Blocks cached by this pool across all buckets.
+  std::size_t cached_blocks() const {
+    std::size_t n = 0;
+    for (const std::uint32_t c : count_) n += c;
+    return n;
   }
 
  private:
   static constexpr std::size_t kBucketStep = 64;   ///< one cache line
   static constexpr std::size_t kNumBuckets = 16;   ///< up to 1 KiB blocks
-  static constexpr std::size_t kMaxPerBucket = 4096;
+  static constexpr std::uint32_t kMaxPerBucket = 4096;
+
+  struct FreeBlock {
+    FreeBlock* next;
+  };
+
+  /// Returns the thread's cached blocks at thread exit and retires the pool:
+  /// later deallocations on this thread bypass it.
+  struct Reaper {
+    ~Reaper() {
+      BlockPool& pool = instance();
+      pool.trim();
+      pool.dead_ = true;
+    }
+  };
+
+  /// First block cached on this thread: register the exit-time Reaper.
+  /// Kept out of line of the hot path (runs once per thread).
+  [[gnu::noinline]] void arm() {
+    thread_local Reaper reaper;
+    (void)reaper;
+    armed_ = true;
+  }
 
   static int bucket_of(std::size_t bytes) {
     const std::size_t b = (bytes + kBucketStep - 1) / kBucketStep;
@@ -128,8 +170,10 @@ class BlockPool {
     return on;
   }
 
-  std::mutex mu_;
-  std::vector<void*> free_[kNumBuckets];
+  FreeBlock* head_[kNumBuckets] = {};
+  std::uint32_t count_[kNumBuckets] = {};
+  bool armed_ = false;  ///< this thread's Reaper is registered
+  bool dead_ = false;   ///< the Reaper has run (thread is exiting)
 };
 
 /// Stateless allocator adapter over BlockPool, usable with
@@ -186,7 +230,7 @@ using PooledUSet = std::unordered_set<K, Hash, std::equal_to<K>, PoolAlloc<K>>;
 /// allocate_shared) comes from the block pool. Drop-in replacement for
 /// std::make_shared<Packet>() at every injection site.
 inline PacketPtr make_packet() {
-  alloc_stats_bump(AllocStats::instance().packets_minted);
+  ++AllocStats::instance().packets_minted;
   return std::allocate_shared<Packet>(PoolAlloc<Packet>{});
 }
 
@@ -194,7 +238,7 @@ inline PacketPtr make_packet() {
 /// clone starts outside any flight: the copied self-anchor would otherwise
 /// pin the *source* packet, and the clone's own flits are minted later.
 inline PacketPtr make_packet(const Packet& src) {
-  alloc_stats_bump(AllocStats::instance().packets_minted);
+  ++AllocStats::instance().packets_minted;
   PacketPtr p = std::allocate_shared<Packet>(PoolAlloc<Packet>{}, src);
   p->flight.reset();
   p->live_flits = 0;

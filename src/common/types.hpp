@@ -178,7 +178,7 @@ inline void begin_flight(const PacketPtr& p) {
   HN_CHECK_MSG(p->num_flits > 0, "flightless packet");
   p->flight = p;
   p->live_flits = p->num_flits;
-  alloc_stats_bump(AllocStats::instance().flight_acquires);
+  ++AllocStats::instance().flight_acquires;
 }
 
 /// Terminal consumption of one in-flight flit of `p`. Returns the packet's
@@ -188,7 +188,7 @@ inline void begin_flight(const PacketPtr& p) {
 inline PacketPtr consume_flit(Packet* p) {
   HN_CHECK_MSG(p && p->live_flits > 0, "consume_flit on a packet with no live flits");
   if (--p->live_flits > 0) return nullptr;
-  alloc_stats_bump(AllocStats::instance().flight_releases);
+  ++AllocStats::instance().flight_releases;
   return std::move(p->flight);
 }
 

@@ -266,13 +266,8 @@ EnergyCounters Network::total_energy() const {
 
 TickProfile Network::tick_profile() const {
   TickProfile p = profile_;
+  p.add_alloc(AllocStats::instance() - alloc_base_);
   if (engine_) engine_->accumulate_profile(p);
-  const AllocStats::Snapshot now = AllocStats::instance().snapshot();
-  p.packets_minted = now.packets_minted - alloc_base_.packets_minted;
-  p.pool_hits = now.pool_hits - alloc_base_.pool_hits;
-  p.pool_misses = now.pool_misses - alloc_base_.pool_misses;
-  p.flight_acquires = now.flight_acquires - alloc_base_.flight_acquires;
-  p.flight_releases = now.flight_releases - alloc_base_.flight_releases;
   return p;
 }
 

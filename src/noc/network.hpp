@@ -34,15 +34,25 @@ struct TickProfile {
   std::uint64_t watchdog_sweeps = 0;  ///< full watchdog scans (1024-cycle)
   std::uint64_t ff_jumps = 0;         ///< fast-forward quiescent jumps
   std::uint64_t ff_skipped_cycles = 0;  ///< cycles skipped by those jumps
-  // Allocation / packet-lifetime telemetry (deltas of the process-wide
-  // AllocStats counters since this network was constructed). Divided by
-  // `cycles` these give the loaded path's residual allocator and refcount
-  // traffic — the quantities the allocation-free overhaul drives to zero.
+  // Allocation / packet-lifetime telemetry: this network's own AllocStats
+  // counts since construction — the constructing and ticking thread's
+  // delta plus every parallel-engine shard worker's per-cycle deltas.
+  // Divided by `cycles` these give the loaded path's residual allocator and
+  // refcount traffic — the quantities the allocation-free overhaul drives
+  // to zero.
   std::uint64_t packets_minted = 0;   ///< make_packet calls (pool-backed)
   std::uint64_t pool_hits = 0;        ///< pooled allocs served from a free list
   std::uint64_t pool_misses = 0;      ///< pooled allocs that hit operator new
   std::uint64_t flight_acquires = 0;  ///< packet flight anchors taken
   std::uint64_t flight_releases = 0;  ///< anchors dropped (all flits consumed)
+
+  void add_alloc(const AllocStats& a) {
+    packets_minted += a.packets_minted;
+    pool_hits += a.pool_hits;
+    pool_misses += a.pool_misses;
+    flight_acquires += a.flight_acquires;
+    flight_releases += a.flight_releases;
+  }
 };
 
 /// Per-run fault-tolerance outcome: how much workload survived, what the
@@ -141,7 +151,9 @@ class Network {
   void restore_state(const std::string& sealed);
 
   /// Dispatch-cost counters since construction (see TickProfile). Sums the
-  /// parallel engine's per-shard counters when one is running.
+  /// parallel engine's per-shard counters when one is running. Call it on
+  /// the thread that constructs and ticks the network: its allocation
+  /// counts are that thread's deltas.
   TickProfile tick_profile() const;
 
   /// Settled energy of every component as of now(). O(components) on the
@@ -208,8 +220,8 @@ class Network {
   /// branch on a bool instead of a 64-bit compare.
   bool watchdog_enabled_ = false;
   mutable TickProfile profile_;
-  /// AllocStats baseline at construction; tick_profile() reports deltas.
-  AllocStats::Snapshot alloc_base_ = AllocStats::instance().snapshot();
+  /// The constructing thread's AllocStats at construction.
+  AllocStats alloc_base_ = AllocStats::instance();
   /// total_energy memo: valid while the clock stays at energy_memo_at_.
   /// Energy only mutates inside component ticks (and settle_energy, which
   /// by construction does not change the settled total at a fixed cycle),

@@ -120,9 +120,12 @@ void ParallelTickEngine::worker_loop(int s) {
     if (shutdown_.load(std::memory_order_acquire)) return;
     last = g;
     const Cycle now = cycle_now_;
+    const AllocStats before = AllocStats::instance();
     compute_phase(s, now);
     barrier_arrive();
     commit_compact_phase(s, now);
+    // Published by the closing barrier, like the dispatch counters.
+    shards_[static_cast<size_t>(s)].alloc += AllocStats::instance() - before;
     barrier_arrive();
   }
 }
@@ -248,6 +251,7 @@ void ParallelTickEngine::accumulate_profile(TickProfile& p) const {
   for (const Shard& sh : shards_) {
     p.ni_ticks += sh.ni_ticks;
     p.router_ticks += sh.router_ticks;
+    p.add_alloc(sh.alloc);
   }
 }
 

@@ -52,6 +52,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/alloc_stats.hpp"
 #include "common/types.hpp"
 #include "noc/channel.hpp"
 #include "noc/scheduler.hpp"
@@ -98,7 +99,8 @@ class ParallelTickEngine {
   /// Serial-fallback switch for order-observing modes (see file comment).
   void set_force_serial(bool on) { force_serial_ = on; }
 
-  /// Fold the per-shard dispatch counters into `p` (Network::tick_profile).
+  /// Fold the per-shard dispatch and allocation counters into `p`
+  /// (Network::tick_profile).
   void accumulate_profile(TickProfile& p) const;
 
  private:
@@ -111,6 +113,9 @@ class ParallelTickEngine {
     /// Dispatch counters, written only by the owning worker thread.
     std::uint64_t ni_ticks = 0;
     std::uint64_t router_ticks = 0;
+    /// The worker thread's AllocStats deltas over its cycles (shards 1..;
+    /// shard 0 runs on the network's own thread, which counts itself).
+    AllocStats alloc;
   };
 
   int shard_of(int id) const {

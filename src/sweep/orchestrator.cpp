@@ -261,6 +261,20 @@ std::string format_aggregate(const SweepSpec& spec,
   return os.str();
 }
 
+std::string format_timings(const std::vector<ConfigOutcome>& outcomes) {
+  std::ostringstream os;
+  os << "label\thash\twall_s\tsim_cycles_per_s\n";
+  for (const ConfigOutcome& o : outcomes) {
+    if (!o.ok || o.from_cache) continue;
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "%.6f\t%.0f", o.wall_s,
+                  o.wall_s > 0 ? static_cast<double>(o.result.cycles) / o.wall_s
+                               : 0.0);
+    os << o.label << "\t" << hex64(o.hash) << "\t" << buf << "\n";
+  }
+  return os.str();
+}
+
 SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& opt) {
   std::error_code ec;
   std::filesystem::create_directories(opt.out_dir, ec);
@@ -348,6 +362,7 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& opt) {
     struct Flight {
       std::size_t idx;
       int attempt;  ///< 1-based attempt number being run
+      Clock::time_point launched;
       Clock::time_point deadline;
       bool has_deadline;
     };
@@ -401,6 +416,7 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& opt) {
         Flight fl;
         fl.idx = job.idx;
         fl.attempt = attempt;
+        fl.launched = now;
         fl.has_deadline = opt.timeout_ms > 0;
         fl.deadline =
             now + std::chrono::milliseconds(
@@ -425,6 +441,8 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& opt) {
         } else if (it != in_flight.end()) {
           const std::size_t idx = it->second.idx;
           const int attempt = it->second.attempt;
+          const std::chrono::duration<double> wall =
+              Clock::now() - it->second.launched;
           in_flight.erase(it);
           const SweepPoint& pt = spec.points[idx];
           ConfigOutcome& out = report.outcomes[idx];
@@ -433,6 +451,7 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& opt) {
               out.ok = true;
               out.result = *stored;
               out.attempts = attempt;
+              out.wall_s = wall.count();
               ++deg.completed;
               journal.record_done(pt.hash, attempt);
             } else {
@@ -475,6 +494,11 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& opt) {
   std::string werr;
   if (!write_file_atomic(report.aggregate_path, aggregate, &werr)) {
     throw std::runtime_error("sweep: cannot write aggregate: " + werr);
+  }
+  report.timings_path = opt.out_dir + "/timings.tsv";
+  if (!write_file_atomic(report.timings_path, format_timings(report.outcomes),
+                         &werr)) {
+    throw std::runtime_error("sweep: cannot write timings: " + werr);
   }
   return report;
 }

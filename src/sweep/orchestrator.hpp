@@ -16,7 +16,8 @@
 // moment is recoverable: rerunning the same spec against the same output
 // directory replays the journal (torn tail tolerated), reuses every stored
 // result, keeps quarantine decisions sticky, and produces a byte-identical
-// aggregate.tsv.
+// aggregate.tsv. Each run also writes timings.tsv: host wall time per point
+// it computed, outside the byte-identical aggregate.
 #pragma once
 
 #include <cstdint>
@@ -77,6 +78,9 @@ struct ConfigOutcome {
   bool quarantined = false;
   int attempts = 0;  ///< failed attempts charged against this point
   std::string last_error;
+  /// Wall time of the attempt that computed the point in this run, launch
+  /// to completion; 0 when it was not computed here (cache hit, quarantine).
+  double wall_s = 0.0;
 };
 
 /// What the sweep could not deliver, and what the recovery machinery did.
@@ -100,6 +104,7 @@ struct SweepReport {
   std::vector<ConfigOutcome> outcomes;  ///< spec order
   DegradationReport degradation;
   std::string aggregate_path;  ///< the aggregate.tsv that was written
+  std::string timings_path;    ///< the timings.tsv that was written
 };
 
 /// Run (or resume) `spec` into opt.out_dir. Per-point failures never throw
@@ -113,5 +118,11 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& opt);
 /// for the bit-identity tests.
 std::string format_aggregate(const SweepSpec& spec,
                              const std::vector<ConfigOutcome>& outcomes);
+
+/// Per-point host timings of the points computed in this run, in spec
+/// order: label, hash, wall seconds and simulated cycles per wall second.
+/// Written next to the aggregate as timings.tsv; it is not part of any
+/// content hash, and resume never reads it.
+std::string format_timings(const std::vector<ConfigOutcome>& outcomes);
 
 }  // namespace hybridnoc::sweep

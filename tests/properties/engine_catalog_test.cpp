@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/fileio.hpp"
+#include "common/pool.hpp"
 #include "noc/network.hpp"
 #include "tdm/fault_trace.hpp"
 #include "tdm/hybrid_network.hpp"
@@ -156,7 +157,8 @@ struct Stimulus {
   std::function<void(Network&)> arm = {};
 };
 
-RunFingerprint run(const Stimulus& s, int threads) {
+RunFingerprint run(const Stimulus& s, int threads,
+                   TickProfile* profile = nullptr) {
   NocConfig cfg = s.cfg;
   cfg.tick_threads = threads;
   const std::unique_ptr<Network> net =
@@ -195,6 +197,7 @@ RunFingerprint run(const Stimulus& s, int threads) {
   const Cycle end = net->now() + s.cooldown_cycles;
   while (net->now() < end) net->tick();
   harvest(*net, fp);
+  if (profile) *profile = net->tick_profile();
   return fp;
 }
 
@@ -586,6 +589,31 @@ void add_scenario_test(const Scenario& sc, bool cross) {
                  expect_idle_energy_survives_fast_forward, false);
   return true;
 }();
+
+TEST(ThreadEquivalence, AllocCountsMatchAcrossThreadCounts) {
+  // Shard workers count into their own thread's AllocStats; the network
+  // folds their per-cycle deltas into its profile, so a run's counts do not
+  // depend on the thread count. Which thread frees a block decides whether
+  // the next allocation hits its pool, so only hits + misses is fixed.
+  const Stimulus s = synthetic(small_hybrid_cfg(),
+                               TrafficPattern::UniformRandom, 0.10, 6000, 21);
+  const auto counts = [&s](int threads) {
+    TickProfile p;
+    run(s, threads, &p);
+    return std::vector<std::uint64_t>{p.packets_minted, p.flight_acquires,
+                                      p.flight_releases,
+                                      p.pool_hits + p.pool_misses};
+  };
+  const std::vector<std::uint64_t> serial = counts(1);
+  EXPECT_GT(serial[0], 0u);
+  EXPECT_GT(serial[1], 0u);
+  EXPECT_GT(serial[2], 0u);
+  // Sanitizer builds compile the pool out of PoolAlloc: no pool traffic.
+  EXPECT_EQ(serial[3] > 0, !HN_POOL_DISABLED);
+  for (const int t : parallel_thread_counts()) {
+    EXPECT_EQ(counts(t), serial) << "tick_threads " << t;
+  }
+}
 
 TEST(ThreadEquivalence, ValidateRejectsGatingWithThreads) {
   // vc_power_gating announcements cross router boundaries without a

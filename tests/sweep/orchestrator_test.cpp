@@ -5,6 +5,7 @@
 // aggregate across reruns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -86,6 +87,28 @@ TEST_F(OrchestratorTest, RerunServesFromCacheBitIdentically) {
   std::string agg2;
   ASSERT_TRUE(read_file(second.aggregate_path, &agg2));
   EXPECT_EQ(agg1, agg2);
+}
+
+TEST_F(OrchestratorTest, TimingsListOnlyPointsComputedInThisRun) {
+  const SweepSpec spec = small_spec();
+  const SweepReport first = run_sweep(spec, opts());
+  EXPECT_EQ(first.timings_path, dir_ + "/timings.tsv");
+  std::string timings;
+  ASSERT_TRUE(read_file(first.timings_path, &timings));
+  EXPECT_EQ(timings, format_timings(first.outcomes));
+  EXPECT_EQ(timings.rfind("label\thash\twall_s\tsim_cycles_per_s\n", 0), 0u);
+  for (const ConfigOutcome& o : first.outcomes) {
+    EXPECT_GT(o.wall_s, 0.0) << o.label;
+    EXPECT_NE(timings.find(o.label + "\t" + hex64(o.hash) + "\t"),
+              std::string::npos)
+        << o.label;
+  }
+  EXPECT_EQ(std::count(timings.begin(), timings.end(), '\n'), 3);
+
+  // A fully cached rerun computes nothing: header only.
+  const SweepReport second = run_sweep(spec, opts());
+  ASSERT_TRUE(read_file(second.timings_path, &timings));
+  EXPECT_EQ(std::count(timings.begin(), timings.end(), '\n'), 1);
 }
 
 TEST_F(OrchestratorTest, WorkerExceptionsRetryToSuccess) {

@@ -8,7 +8,8 @@
 //       checkpoints in DIR/checkpoints/, progress in DIR/journal, and the
 //       deterministic aggregate in DIR/aggregate.tsv. Rerunning after any
 //       interruption — kill -9 included — resumes from the journal and
-//       produces a byte-identical aggregate.
+//       produces a byte-identical aggregate. DIR/timings.tsv holds the host
+//       wall time and simulated cycles/s of each point this run computed.
 //
 // Exit codes: 0 = every point completed, 3 = completed with quarantined
 // points (see the degradation report on stdout), 2 = usage/spec/
@@ -189,6 +190,7 @@ int main(int argc, char** argv) {
     const SweepReport report = hybridnoc::sweep::run_sweep(spec, opt);
     std::printf("%s\n", report.degradation.to_string().c_str());
     std::printf("aggregate: %s\n", report.aggregate_path.c_str());
+    std::printf("timings: %s\n", report.timings_path.c_str());
     return report.degradation.complete() ? 0 : 3;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
